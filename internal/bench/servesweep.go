@@ -32,10 +32,10 @@ type ServeConfig struct {
 // fan-in (conns * service), so past the knee the no-admission baseline
 // must burn client timeouts while the admission cells shed early.
 const (
-	serveConns    = 12                  // connections (= workers) per shard
+	serveConns    = 12 // connections (= workers) per shard
 	serveService  = 30 * sim.Microsecond
 	serveDeadline = 400 * sim.Microsecond
-	serveMaxQueue = 6                   // admission: arrival-queue bound
+	serveMaxQueue = 6                     // admission: arrival-queue bound
 	serveTarget   = 120 * sim.Microsecond // admission: CoDel sojourn target
 	serveKeys     = 64
 	serveHotTheta = 1.3 // Zipf exponent of the hot-shard cell

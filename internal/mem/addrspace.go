@@ -7,21 +7,39 @@ import (
 // AddressSpace is one process's virtual memory: a page table mapping
 // virtual pages to physical frames of the node's Physical memory, plus a
 // simple bump allocator for fresh virtual ranges.
+//
+// The bump allocator hands out virtual pages densely from baseVA up, so
+// the page table is a flat slice indexed by virtual page minus the first
+// page: pages[i] is the frame backing page firstPage+i, or unmapped
+// (-1) once freed. Every page in [baseVA, brk) has a slot.
 type AddressSpace struct {
 	phys  *Physical
-	pages map[uint64]int // virtual page -> physical frame
-	brk   VirtAddr       // next unallocated virtual address
+	pages []int    // virtual page - firstPage -> physical frame, or unmapped
+	brk   VirtAddr // next unallocated virtual address
 }
 
-// NewAddressSpace returns an empty address space over phys. The virtual
-// allocation cursor starts above zero so that address 0 stays unmapped
-// (a useful "null" guard, as on a real OS).
+// baseVA is where the virtual allocation cursor starts: above zero, so
+// that address 0 stays unmapped (a useful "null" guard, as on a real OS).
+const baseVA VirtAddr = 0x10000
+
+const (
+	firstPage = uint64(baseVA) >> PageShift
+	unmapped  = -1
+)
+
+// NewAddressSpace returns an empty address space over phys.
 func NewAddressSpace(phys *Physical) *AddressSpace {
-	return &AddressSpace{
-		phys:  phys,
-		pages: make(map[uint64]int),
-		brk:   0x10000,
+	return &AddressSpace{phys: phys, brk: baseVA}
+}
+
+// frame returns the frame backing virtual page vp, if it is mapped.
+func (as *AddressSpace) frame(vp uint64) (int, bool) {
+	i := vp - firstPage // wraps to a huge index below firstPage
+	if i >= uint64(len(as.pages)) {
+		return 0, false
 	}
+	f := as.pages[i]
+	return f, f != unmapped
 }
 
 // Physical returns the node memory backing this address space.
@@ -36,18 +54,18 @@ func (as *AddressSpace) Alloc(n int) (VirtAddr, error) {
 	}
 	pages := (n + PageSize - 1) / PageSize
 	base := as.brk
+	mapped := len(as.pages)
 	for i := 0; i < pages; i++ {
 		f, err := as.phys.AllocFrame()
 		if err != nil {
 			// Roll back the partial mapping.
-			for j := 0; j < i; j++ {
-				vp := base.Page() + uint64(j)
-				as.phys.FreeFrame(as.pages[vp])
-				delete(as.pages, vp)
+			for _, f := range as.pages[mapped:] {
+				as.phys.FreeFrame(f)
 			}
+			as.pages = as.pages[:mapped]
 			return 0, err
 		}
-		as.pages[base.Page()+uint64(i)] = f
+		as.pages = append(as.pages, f)
 	}
 	as.brk = base + VirtAddr(pages*PageSize)
 	return base, nil
@@ -62,7 +80,7 @@ func (as *AddressSpace) Free(va VirtAddr, n int) error {
 	pages := (n + PageSize - 1) / PageSize
 	for i := 0; i < pages; i++ {
 		vp := va.Page() + uint64(i)
-		f, ok := as.pages[vp]
+		f, ok := as.frame(vp)
 		if !ok {
 			return fmt.Errorf("%w: vpage %#x", ErrBadAddress, vp)
 		}
@@ -70,14 +88,14 @@ func (as *AddressSpace) Free(va VirtAddr, n int) error {
 			return fmt.Errorf("mem: Free(%#x): frame %d still pinned", va, f)
 		}
 		as.phys.FreeFrame(f)
-		delete(as.pages, vp)
+		as.pages[vp-firstPage] = unmapped
 	}
 	return nil
 }
 
 // Translate maps a virtual address to the physical address backing it.
 func (as *AddressSpace) Translate(va VirtAddr) (PhysAddr, error) {
-	f, ok := as.pages[va.Page()]
+	f, ok := as.frame(va.Page())
 	if !ok {
 		return 0, fmt.Errorf("%w: va %#x", ErrBadAddress, va)
 	}
@@ -87,7 +105,7 @@ func (as *AddressSpace) Translate(va VirtAddr) (PhysAddr, error) {
 // Mapped reports whether every byte of [va, va+n) is mapped.
 func (as *AddressSpace) Mapped(va VirtAddr, n int) bool {
 	for i := 0; i < PageSpan(va, n); i++ {
-		if _, ok := as.pages[va.Page()+uint64(i)]; !ok {
+		if _, ok := as.frame(va.Page() + uint64(i)); !ok {
 			return false
 		}
 	}
@@ -98,10 +116,11 @@ func (as *AddressSpace) Mapped(va VirtAddr, n int) bool {
 func (as *AddressSpace) Pin(va VirtAddr, n int) error {
 	span := PageSpan(va, n)
 	for i := 0; i < span; i++ {
-		f, ok := as.pages[va.Page()+uint64(i)]
+		f, ok := as.frame(va.Page() + uint64(i))
 		if !ok {
 			for j := 0; j < i; j++ {
-				as.phys.Unpin(as.pages[va.Page()+uint64(j)])
+				f, _ := as.frame(va.Page() + uint64(j))
+				as.phys.Unpin(f)
 			}
 			return fmt.Errorf("%w: pin va %#x+%d pages", ErrBadAddress, va, i)
 		}
@@ -113,7 +132,7 @@ func (as *AddressSpace) Pin(va VirtAddr, n int) error {
 // Unpin reverses a Pin of the same range.
 func (as *AddressSpace) Unpin(va VirtAddr, n int) {
 	for i := 0; i < PageSpan(va, n); i++ {
-		if f, ok := as.pages[va.Page()+uint64(i)]; ok {
+		if f, ok := as.frame(va.Page() + uint64(i)); ok {
 			as.phys.Unpin(f)
 		}
 	}
@@ -123,22 +142,29 @@ func (as *AddressSpace) Unpin(va VirtAddr, n int) {
 // page table across page boundaries.
 func (as *AddressSpace) ReadBytes(va VirtAddr, n int) ([]byte, error) {
 	out := make([]byte, n)
+	if err := as.Read(va, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Read copies len(buf) bytes of virtual memory starting at va into buf,
+// following the page table across page boundaries. Unlike ReadBytes it
+// does not allocate, so a caller can read into a stack array.
+func (as *AddressSpace) Read(va VirtAddr, buf []byte) error {
 	off := 0
-	for off < n {
+	for off < len(buf) {
 		pa, err := as.Translate(va + VirtAddr(off))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		chunk := PageSize - (va + VirtAddr(off)).Offset()
-		if chunk > n-off {
-			chunk = n - off
-		}
-		if err := as.phys.Read(pa, out[off:off+chunk]); err != nil {
-			return nil, err
+		chunk := min(PageSize-(va+VirtAddr(off)).Offset(), len(buf)-off)
+		if err := as.phys.Read(pa, buf[off:off+chunk]); err != nil {
+			return err
 		}
 		off += chunk
 	}
-	return out, nil
+	return nil
 }
 
 // WriteBytes copies data into virtual memory starting at va.

@@ -11,9 +11,9 @@ import (
 
 // WorkloadConfig describes one open-loop run against the tier.
 type WorkloadConfig struct {
-	Rate     float64 // offered requests/second, Poisson arrivals
-	Requests int     // total offered requests
-	Theta    float64 // Zipf exponent over keys (0 = uniform)
+	Rate     float64  // offered requests/second, Poisson arrivals
+	Requests int      // total offered requests
+	Theta    float64  // Zipf exponent over keys (0 = uniform)
 	Deadline sim.Time // per-request budget, measured from arrival
 	// EdgeLatency models the internet hop between the user and the
 	// Ethernet-side front end, one way. It delays the request before it

@@ -23,6 +23,24 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPollEverySample measures one false PollEvery sample with 64
+// processes spinning on one interval, as the 64-node all-to-all does.
+func BenchmarkPollEverySample(b *testing.B) {
+	e := NewEngine()
+	const spinners, interval = 64, 100 * Nanosecond
+	done := false
+	for i := 0; i < spinners; i++ {
+		e.Go("spinner", func(p *Proc) {
+			p.PollEvery(interval, func() bool { return done })
+		})
+	}
+	e.At(Time(b.N/spinners+1)*interval, func() { done = true })
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkProcContextSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Go("sleeper", func(p *Proc) {

@@ -128,7 +128,7 @@ func (c *Cond) Signal() {
 	for c.head != nil {
 		w := c.head
 		c.unlink(w)
-		if !c.eng.alive(w.p) || w.p.killed {
+		if !w.p.live || w.p.killed {
 			continue
 		}
 		c.wake(w)
@@ -141,7 +141,7 @@ func (c *Cond) Broadcast() {
 	for c.head != nil {
 		w := c.head
 		c.unlink(w)
-		if c.eng.alive(w.p) && !w.p.killed {
+		if w.p.live && !w.p.killed {
 			c.wake(w)
 		}
 	}

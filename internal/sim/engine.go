@@ -24,7 +24,8 @@ type Event struct {
 	waiter   *condWaiter // expire this condition-wait timeout
 	canceled bool
 	pooled   bool
-	index    int // heap index, -1 once popped
+	poll     bool // with proc: a PollEvery sample, not a plain wakeup
+	index    int  // heap index, -1 once popped
 }
 
 // Cancel prevents the event's callback from running. Canceling an event
@@ -120,6 +121,57 @@ func (e *Engine) heapPop() *Event {
 	return ev
 }
 
+// laneSample is one PollEvery sample waiting in the poll lane: at time at,
+// with sequence number seq, re-evaluate p's poll predicate.
+type laneSample struct {
+	at  Time
+	seq uint64
+	p   *Proc
+}
+
+// before reports whether s orders before the heap event ev.
+func (s *laneSample) before(ev *Event) bool {
+	if s.at != ev.at {
+		return s.at < ev.at
+	}
+	return s.seq < ev.seq
+}
+
+// pollLane is a FIFO ring of PollEvery samples that share one interval.
+// Every sample is posted at now+interval with a fresh seq, and the clock
+// never runs backwards, so the ring is sorted by (time, seq) in insertion
+// order: push and pop are O(1), and merging the ring's head with the heap
+// top in Step dispatches events in exactly the order one heap would.
+type pollLane struct {
+	buf      []laneSample // ring; len(buf) is zero or a power of two
+	first    int          // index of the oldest sample
+	n        int
+	interval Time // every resident sample's interval; adopted when empty
+}
+
+// head returns the oldest sample. The lane must be non-empty.
+func (l *pollLane) head() *laneSample { return &l.buf[l.first] }
+
+func (l *pollLane) push(s laneSample) {
+	if l.n == len(l.buf) {
+		grown := make([]laneSample, max(16, 2*len(l.buf)))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.buf[(l.first+i)&(len(l.buf)-1)]
+		}
+		l.buf, l.first = grown, 0
+	}
+	l.buf[(l.first+l.n)&(len(l.buf)-1)] = s
+	l.n++
+}
+
+func (l *pollLane) pop() laneSample {
+	s := l.buf[l.first]
+	l.buf[l.first].p = nil
+	l.first = (l.first + 1) & (len(l.buf) - 1)
+	l.n--
+	return s
+}
+
 // compactMinCanceled is the floor below which canceled events are never
 // worth sweeping; compactMinFraction is the numerator of the canceled/total
 // ratio (out of compactFractionDen) that triggers a sweep.
@@ -132,10 +184,15 @@ const (
 
 // SchedStats is a point-in-time snapshot of the scheduler's internals,
 // used by performance regression tests and the scalesweep harness.
+//
+// The heap figures count heap residents only: PollEvery samples waiting
+// in the poll lane are counted by LaneLen, never by HeapLen or
+// PeakHeapLen. All of these measure simulator cost, not modeled behavior.
 type SchedStats struct {
 	HeapLen      int    // events resident in the heap, canceled included
 	HeapCanceled int    // canceled events awaiting compaction or pop
 	PeakHeapLen  int    // largest heap residency ever observed
+	LaneLen      int    // PollEvery samples resident in the poll lane
 	Dispatched   uint64 // events executed since construction
 	Compactions  uint64 // lazy compaction sweeps performed
 	FreeEvents   int    // pooled events available for reuse
@@ -147,8 +204,9 @@ type SchedStats struct {
 type Engine struct {
 	now     Time
 	events  eventHeap
+	lane    pollLane // PollEvery samples, merged with events by Step
 	seq     uint64
-	procs   map[*Proc]struct{} // live (spawned, not finished) processes
+	procs   map[*Proc]struct{} // live processes, for checkStall and Parked
 	stopped bool
 	trace   func(t Time, format string, args ...any)
 
@@ -235,6 +293,7 @@ func (e *Engine) SchedStats() SchedStats {
 		HeapLen:      len(e.events),
 		HeapCanceled: e.canceledInHeap,
 		PeakHeapLen:  e.peakHeapLen,
+		LaneLen:      e.lane.n,
 		Dispatched:   e.dispatched,
 		Compactions:  e.compactions,
 		FreeEvents:   len(e.freeEvents),
@@ -317,6 +376,7 @@ func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.proc = nil
 	ev.waiter = nil
+	ev.poll = false
 	if ev.pooled {
 		e.freeEvents = append(e.freeEvents, ev)
 	}
@@ -365,6 +425,24 @@ func (e *Engine) postWake(d Time, p *Proc) *Event {
 	ev := e.newEvent(e.now+d, true)
 	ev.proc = p
 	return ev
+}
+
+// postSample schedules p's next PollEvery sample one poll interval from
+// now. Samples at the lane's interval join the lane; any other interval
+// takes a pooled heap event, which Step dispatches the same way.
+func (e *Engine) postSample(p *Proc) {
+	d := max(p.pollInterval, 0)
+	if e.lane.n == 0 {
+		e.lane.interval = d
+	}
+	if d == e.lane.interval {
+		e.lane.push(laneSample{at: e.now + d, seq: e.seq, p: p})
+		e.seq++
+		return
+	}
+	ev := e.newEvent(e.now+d, true)
+	ev.proc = p
+	ev.poll = true
 }
 
 // postTimeout schedules an internal, pooled condition-timeout event. The
@@ -429,49 +507,85 @@ func (e *Engine) compact() {
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports whether an event was executed.
-func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
+// laneFirst pops canceled events off the top of the heap, then reports
+// whether the earliest pending event is the poll lane's head rather than
+// the heap's top.
+func (e *Engine) laneFirst() bool {
+	for len(e.events) > 0 && e.events[0].canceled {
 		ev := e.heapPop()
-		if ev.canceled {
-			e.canceledInHeap--
-			if e.obsCanceled != nil {
-				e.obsCanceled.Set(float64(e.canceledInHeap))
-			}
-			e.recycle(ev)
-			continue
+		e.canceledInHeap--
+		if e.obsCanceled != nil {
+			e.obsCanceled.Set(float64(e.canceledInHeap))
 		}
-		e.now = ev.at
-		e.dispatched++
-		if e.obsDispatched != nil {
-			e.obsDispatched.Add(1)
-			e.obsHeap.Set(float64(len(e.events)))
-			if e.dispatched%heapSampleInterval == 0 {
-				e.TraceCounter("sim", "sched", "event_heap", float64(len(e.events)))
-			}
+		e.recycle(ev)
+	}
+	return e.lane.n > 0 && (len(e.events) == 0 || e.lane.head().before(e.events[0]))
+}
+
+// nextAt reports the time of the earliest pending event, lane included.
+func (e *Engine) nextAt() (Time, bool) {
+	if e.laneFirst() {
+		return e.lane.head().at, true
+	}
+	if len(e.events) > 0 {
+		return e.events[0].at, true
+	}
+	return 0, false
+}
+
+// advance moves the clock to the dispatching event's time t and counts
+// the dispatch.
+func (e *Engine) advance(t Time) {
+	e.now = t
+	e.dispatched++
+	if e.obsDispatched != nil {
+		e.obsDispatched.Add(1)
+		e.obsHeap.Set(float64(len(e.events)))
+		if e.dispatched%heapSampleInterval == 0 {
+			e.TraceCounter("sim", "sched", "event_heap", float64(len(e.events)))
 		}
-		switch {
-		case ev.fn != nil:
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
-		case ev.proc != nil:
-			p := ev.proc
-			e.recycle(ev)
-			e.schedule(p)
-		case ev.waiter != nil:
-			w := ev.waiter
-			e.recycle(ev)
-			w.c.expire(w)
-		default:
-			// A canceled-after-pop slot cannot occur (cancellation is
-			// checked above), so an empty event is a scheduler bug.
-			panic("sim: empty event dispatched")
-		}
+	}
+}
+
+// Step executes the single earliest pending event, advancing the clock to
+// its timestamp. It reports whether an event was executed. The earliest
+// event is whichever of the poll lane's head and the heap's top orders
+// first by (time, seq).
+func (e *Engine) Step() bool {
+	if e.laneFirst() {
+		s := e.lane.pop()
+		e.advance(s.at)
+		e.sample(s.p)
 		return true
 	}
-	return false
+	if len(e.events) == 0 {
+		return false
+	}
+	ev := e.heapPop()
+	e.advance(ev.at)
+	switch {
+	case ev.fn != nil:
+		fn := ev.fn
+		e.recycle(ev)
+		fn()
+	case ev.proc != nil:
+		p, poll := ev.proc, ev.poll
+		e.recycle(ev)
+		if poll {
+			e.sample(p)
+		} else {
+			e.schedule(p)
+		}
+	case ev.waiter != nil:
+		w := ev.waiter
+		e.recycle(ev)
+		w.c.expire(w)
+	default:
+		// Canceled events were dropped above, so an empty event is a
+		// scheduler bug.
+		panic("sim: empty event dispatched")
+	}
+	return true
 }
 
 // Run executes events until none remain or Stop is called. It returns an
@@ -492,13 +606,14 @@ func (e *Engine) Run() error {
 func (e *Engine) RunUntil(t Time) error {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.events) == 0 {
+		at, ok := e.nextAt()
+		if !ok {
 			if err := e.checkStall(); err != nil {
 				return err
 			}
 			break
 		}
-		if e.events[0].at > t {
+		if at > t {
 			break
 		}
 		e.Step()
@@ -541,10 +656,11 @@ func (e *Engine) AddDeadlockWrapper(wrap func(error) error) {
 	e.deadlockWraps = append(e.deadlockWraps, wrap)
 }
 
-// Pending reports the number of scheduled (non-canceled) events. It is
-// O(1): the engine tracks in-heap cancellations as they happen.
+// Pending reports the number of scheduled (non-canceled) events, poll
+// lane samples included. It is O(1): the engine tracks in-heap
+// cancellations as they happen, and lane samples are never canceled.
 func (e *Engine) Pending() int {
-	return len(e.events) - e.canceledInHeap
+	return len(e.events) - e.canceledInHeap + e.lane.n
 }
 
 // Parked returns a description of every live process currently parked,

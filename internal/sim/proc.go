@@ -13,6 +13,12 @@ type Proc struct {
 	parkedAt string  // human-readable blocking site, "" while runnable
 	killed   bool
 	daemon   bool
+	live     bool // spawned and not yet finished
+
+	// The spin the process is parked in by PollEvery: its predicate and
+	// sample interval. A process polls at most one thing at a time.
+	pollCheck    func() bool
+	pollInterval Time
 }
 
 // worker is a reusable goroutine that runs process bodies. When a process
@@ -40,7 +46,7 @@ type procKilled struct{ p *Proc }
 // Go spawns a process named name running fn. The process starts at the
 // current virtual time, after already-scheduled same-time events.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name}
+	p := &Proc{eng: e, name: name, live: true}
 	e.procs[p] = struct{}{}
 	e.postFn(0, func() { e.startProc(p, fn) })
 	return p
@@ -92,24 +98,19 @@ func (w *worker) run() {
 	w.fn(p)
 }
 
-// alive reports whether p has been spawned and not yet finished.
-func (e *Engine) alive(p *Proc) bool {
-	_, ok := e.procs[p]
-	return ok
-}
-
 // schedule hands the CPU to p and waits until it parks or finishes.
 // Called only from the engine goroutine (inside an event callback).
 // Scheduling a finished process is a harmless no-op, so stale wakeups
 // (e.g. a condition broadcast racing a Kill) are safe.
 func (e *Engine) schedule(p *Proc) {
-	if _, live := e.procs[p]; !live {
+	if !p.live {
 		return
 	}
 	p.parkedAt = ""
 	w := p.w
 	w.resume <- struct{}{}
 	if done := <-w.parked; done {
+		p.live = false
 		delete(e.procs, p)
 		w.p = nil
 		w.fn = nil
@@ -151,11 +152,12 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // virtual time, returning once it reports true. The virtual-time behavior
 // is identical to `for !check() { p.Sleep(interval) }` — one event per
 // sample, the process resumes at the first sample where the predicate
-// holds — but false samples run inside the event callback on the engine
-// goroutine, so each costs a closure call instead of the park/resume
-// goroutine round trip. That makes it the right shape for spin loops
-// (polling a completion word at cache speed), where almost every sample
-// is false.
+// holds — but false samples run on the engine goroutine, so each costs a
+// predicate call instead of the park/resume goroutine round trip. That
+// makes it the right shape for spin loops (polling a completion word at
+// cache speed), where almost every sample is false. Samples ride the
+// engine's poll lane (see pollLane), so posting and dispatching one is
+// O(1) rather than a heap operation.
 //
 // check must be a pure inspection of model state: it runs outside the
 // process context and must not call Proc methods or block.
@@ -163,19 +165,23 @@ func (p *Proc) PollEvery(interval Time, check func() bool) {
 	if check() {
 		return
 	}
-	var fire func()
-	fire = func() {
-		if !p.eng.alive(p) {
-			return // killed and unwound while a sample was pending
-		}
-		if p.killed || check() {
-			p.eng.schedule(p)
-			return
-		}
-		p.eng.postFn(interval, fire)
-	}
-	p.eng.postFn(interval, fire)
+	p.pollCheck = check
+	p.pollInterval = interval
+	p.eng.postSample(p)
 	p.park("poll")
+}
+
+// sample is one PollEvery sample for p: resume p if its predicate holds
+// (or it was killed), otherwise post the next sample.
+func (e *Engine) sample(p *Proc) {
+	if !p.live {
+		return // killed and unwound while a sample was pending
+	}
+	if p.killed || p.pollCheck() {
+		e.schedule(p)
+		return
+	}
+	e.postSample(p)
 }
 
 // Kill terminates the process the next time it would resume from a park.

@@ -92,7 +92,7 @@ func (r *Resource) Release(p *Proc) {
 			r.queue = r.queue[:0]
 			r.qhead = 0
 		}
-		if !r.eng.alive(next) || next.killed {
+		if !next.live || next.killed {
 			// The dead waiter's wait span still ends here: emitting the
 			// End keeps begin/end pairs matched in FIFO order for
 			// streaming consumers.

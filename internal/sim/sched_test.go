@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -332,36 +334,205 @@ func TestHeapOrderAfterCompaction(t *testing.T) {
 	}
 }
 
-// PollEvery must be observationally identical to a Sleep-loop spin in
-// virtual time: same resume tick, same dispatched-event count per sample.
-func TestPollEveryMatchesSleepLoop(t *testing.T) {
-	run := func(spin func(p *Proc, interval Time, check func() bool)) (Time, uint64) {
-		e := NewEngine()
-		flag := false
-		var resumed Time
-		e.Go("spinner", func(p *Proc) {
-			spin(p, Microsecond, func() bool { return flag })
-			resumed = p.Now()
-		})
-		e.After(10*Microsecond+300*Nanosecond, func() { flag = true })
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
+// pollScenario is one seeded run of many spinning processes: every
+// poller waits on a sequence of flags, each set by a callback that lands
+// exactly on one of the poller's sample ticks. Half the setters are
+// scheduled up front (so they precede that tick's sample in seq order and
+// the sample sees the flag), half are posted just after the sample was
+// (so the sample misses the flag and the poller resumes a tick later).
+// One poller uses a second interval, and one is killed mid-poll.
+type pollScenario struct {
+	pollers []pollerSpec
+	killAt  Time // the last poller is killed at this time, mid-poll
+}
+
+type pollerSpec struct {
+	start    Time
+	interval Time
+	waits    []Time // per wait: offset of the flag's tick past the start of the wait
+	late     []bool // per wait: post the setter after the tick's sample
+}
+
+func newPollScenario(seed int64) pollScenario {
+	r := rand.New(rand.NewSource(seed))
+	var sc pollScenario
+	const n = 12
+	for i := 0; i < n; i++ {
+		ps := pollerSpec{start: Time(r.Intn(3000)), interval: Microsecond}
+		if i == 0 {
+			// Poller 0 starts first and waits longest, so the lane is
+			// never empty while the others spin.
+			ps.start = 0
 		}
-		return resumed, e.SchedStats().Dispatched
+		if i == n-2 {
+			ps.interval = 700 * Nanosecond // the lane's interval differs
+		}
+		waits := 2 + r.Intn(3)
+		if i == 0 {
+			waits = 8
+		}
+		for w := 0; w < waits; w++ {
+			ps.waits = append(ps.waits, Time(1+r.Intn(6))*ps.interval)
+			ps.late = append(ps.late, r.Intn(2) == 1)
+		}
+		if i == n-1 {
+			// The victim is still in its first wait when the kill
+			// lands, on or between its sample ticks.
+			ps.start = 0
+			ps.waits[0] = 4 * Microsecond
+		}
+		sc.pollers = append(sc.pollers, ps)
 	}
-	sleepAt, sleepEvents := run(func(p *Proc, interval Time, check func() bool) {
+	sc.killAt = Time(1000 + 500*r.Intn(5))
+	return sc
+}
+
+type spinFunc func(p *Proc, interval Time, check func() bool)
+
+// run plays the scenario with spin as the wait primitive and returns the
+// log of resumes and flag sets, plus the dispatched-event count.
+func (sc pollScenario) run(t *testing.T, spin spinFunc) ([]string, uint64) {
+	e := NewEngine()
+	var log []string
+	logf := func(format string, args ...any) {
+		log = append(log, fmt.Sprintf("%v ", e.Now())+fmt.Sprintf(format, args...))
+	}
+	var victim *Proc
+	for i, ps := range sc.pollers {
+		i, ps := i, ps
+		flags := make([]bool, len(ps.waits))
+		pr := e.Go(fmt.Sprintf("poller%d", i), func(p *Proc) {
+			defer func() { logf("poller %d unwound", i) }()
+			p.Sleep(ps.start)
+			for w := range ps.waits {
+				// Sample ticks of this wait are now+k*interval.
+				tick := p.Now() + ps.waits[w]
+				w := w
+				set := func() { flags[w] = true; logf("set %d.%d", i, w) }
+				if ps.late[w] {
+					// Posted one nanosecond after the tick's sample was
+					// (the sample is posted at tick-interval), so the
+					// setter orders after it.
+					e.At(tick-ps.interval+1, func() { e.At(tick, set) })
+				} else {
+					e.At(tick, set)
+				}
+				spin(p, ps.interval, func() bool { return flags[w] })
+				logf("poller %d resumed from wait %d", i, w)
+			}
+		})
+		victim = pr
+	}
+	e.At(sc.killAt, func() { logf("kill"); victim.Kill() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return log, e.SchedStats().Dispatched
+}
+
+// PollEvery must be observationally identical to a Sleep-loop spin in
+// virtual time: same resume ticks, same interleaving with same-tick
+// callbacks, same dispatched-event count. The scenarios mix lane samples,
+// a heap-fallback poller and a kill.
+func TestPollEveryMatchesSleepLoop(t *testing.T) {
+	sleepLoop := func(p *Proc, interval Time, check func() bool) {
 		for !check() {
 			p.Sleep(interval)
 		}
-	})
-	pollAt, pollEvents := run(func(p *Proc, interval Time, check func() bool) {
-		p.PollEvery(interval, check)
-	})
-	if pollAt != sleepAt {
-		t.Errorf("PollEvery resumed at %v, sleep loop at %v", pollAt, sleepAt)
 	}
-	if pollEvents != sleepEvents {
-		t.Errorf("PollEvery dispatched %d events, sleep loop %d", pollEvents, sleepEvents)
+	pollEvery := func(p *Proc, interval Time, check func() bool) {
+		p.PollEvery(interval, check)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		sc := newPollScenario(seed)
+		wantLog, wantEvents := sc.run(t, sleepLoop)
+		gotLog, gotEvents := sc.run(t, pollEvery)
+		if strings.Join(gotLog, "\n") != strings.Join(wantLog, "\n") {
+			t.Fatalf("seed %d: PollEvery log differs from sleep loop\npoll:\n%s\nsleep:\n%s",
+				seed, strings.Join(gotLog, "\n"), strings.Join(wantLog, "\n"))
+		}
+		if gotEvents != wantEvents {
+			t.Errorf("seed %d: PollEvery dispatched %d events, sleep loop %d", seed, gotEvents, wantEvents)
+		}
+	}
+}
+
+// A poller whose interval differs from the lane's must take a heap event,
+// and still resume on its own sample ticks.
+func TestPollEveryOtherIntervalUsesHeap(t *testing.T) {
+	e := NewEngine()
+	var flagA, flagB bool
+	var resumedA, resumedB Time
+	e.Go("a", func(p *Proc) {
+		p.PollEvery(Microsecond, func() bool { return flagA })
+		resumedA = p.Now()
+	})
+	e.Go("b", func(p *Proc) {
+		p.PollEvery(700*Nanosecond, func() bool { return flagB })
+		resumedB = p.Now()
+	})
+	if err := e.RunUntil(100 * Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.SchedStats(); st.LaneLen != 1 || st.HeapLen != 1 {
+		t.Fatalf("lane %d, heap %d samples; want a's in the lane and b's in the heap",
+			st.LaneLen, st.HeapLen)
+	}
+	e.At(2500*Nanosecond, func() { flagA, flagB = true, true })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if resumedA != 3*Microsecond || resumedB != 2800*Nanosecond {
+		t.Errorf("resumed a at %v, b at %v; want 3us and 2.8us", resumedA, resumedB)
+	}
+}
+
+// RunUntil must stop between a lane sample and a heap event in either
+// order, and a canceled heap event before the horizon must not let it
+// run a live event past the horizon.
+func TestRunUntilBetweenLaneAndHeap(t *testing.T) {
+	e := NewEngine()
+	flag := false
+	var resumed Time
+	e.Go("spinner", func(p *Proc) {
+		p.PollEvery(Microsecond, func() bool { return flag })
+		resumed = p.Now()
+	})
+	var fired []Time
+	note := func() { fired = append(fired, e.Now()) }
+	e.At(1500*Nanosecond, note)
+	e.At(1100*Nanosecond, note).Cancel()
+	e.At(2500*Nanosecond, func() { flag = true })
+
+	// Lane sample at 1 us runs; the heap event at 1.5 us does not.
+	if err := e.RunUntil(1200 * Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 0 || e.Now() != 1200*Nanosecond || e.Pending() != 3 {
+		t.Fatalf("after RunUntil(1.2us): fired %v, now %v, pending %d; want none, 1.2us, 3",
+			fired, e.Now(), e.Pending())
+	}
+	// Heap event at 1.5 us runs; the lane sample at 2 us does not.
+	if err := e.RunUntil(1900 * Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 || fired[0] != 1500*Nanosecond || e.Now() != 1900*Nanosecond {
+		t.Fatalf("after RunUntil(1.9us): fired %v, now %v; want [1.5us], 1.9us", fired, e.Now())
+	}
+	// A canceled heap event at 1.95 us, the lane sample at 2 us: the
+	// horizon at 1.96 us must hold the sample back.
+	e.At(1950*Nanosecond, note).Cancel()
+	if err := e.RunUntil(1960 * Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.SchedStats(); e.Now() != 1960*Nanosecond || st.LaneLen != 1 {
+		t.Fatalf("after RunUntil(1.96us): now %v, lane %d; want 1.96us, 1", e.Now(), st.LaneLen)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if resumed != 3*Microsecond {
+		t.Errorf("spinner resumed at %v, want 3us", resumed)
 	}
 }
 

@@ -310,9 +310,11 @@ func (proc *Process) SendMsg(p *simProc, src mem.VirtAddr, dest ProxyAddr, n int
 // status reads the process's completion words (written by the LANai with
 // host DMA into the pinned status page; the library spins on the cached
 // copy, §4.5).
+// It runs on every spin sample, so it reads into a stack array rather
+// than allocating.
 func (proc *Process) status() (seq, code uint32) {
-	b, err := proc.AS.ReadBytes(proc.statusVA, 8)
-	if err != nil {
+	var b [8]byte
+	if err := proc.AS.Read(proc.statusVA, b[:]); err != nil {
 		panic(fmt.Sprintf("vmmc: status page unreadable: %v", err))
 	}
 	return binary.BigEndian.Uint32(b[0:]), binary.BigEndian.Uint32(b[4:])
