@@ -432,21 +432,22 @@ func (s *Server) ensureReplyWindow(p *sim.Proc, slot int, clientNode int, replyT
 }
 
 // slotMessage checks a slot window for a complete message with the
-// expected trailing sequence flag and returns its payload.
+// expected trailing sequence flag and returns its payload. It is the spin
+// predicate of every reply and request wait, so the length and sequence
+// words are read into a stack buffer: only a complete message allocates.
 func slotMessage(proc *vmmc.Process, base mem.VirtAddr, expect uint32) ([]byte, bool) {
-	head, err := proc.Read(base, 4)
-	if err != nil {
+	var word [4]byte
+	if proc.AS.Read(base, word[:]) != nil {
 		return nil, false
 	}
-	n := int(binary.BigEndian.Uint32(head))
+	n := int(binary.BigEndian.Uint32(word[:]))
 	if n <= 0 || n > slotMax {
 		return nil, false
 	}
-	tail, err := proc.Read(base+4+mem.VirtAddr(n), 4)
-	if err != nil {
+	if proc.AS.Read(base+4+mem.VirtAddr(n), word[:]) != nil {
 		return nil, false
 	}
-	if binary.BigEndian.Uint32(tail) != expect {
+	if binary.BigEndian.Uint32(word[:]) != expect {
 		return nil, false
 	}
 	payload, err := proc.Read(base+4, n)

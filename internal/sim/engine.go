@@ -194,9 +194,10 @@ type SchedStats struct {
 	PeakHeapLen  int    // largest heap residency ever observed
 	LaneLen      int    // PollEvery samples resident in the poll lane
 	Dispatched   uint64 // events executed since construction
+	Switches     uint64 // process starts and resumes: CPU handoffs to a live process
 	Compactions  uint64 // lazy compaction sweeps performed
 	FreeEvents   int    // pooled events available for reuse
-	FreeWorkers  int    // parked goroutines available for reuse
+	FreeWorkers  int    // parked worker coroutines available for reuse
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -216,6 +217,7 @@ type Engine struct {
 	canceledInHeap int
 	peakHeapLen    int
 	dispatched     uint64
+	switches       uint64
 	compactions    uint64
 	freeEvents     []*Event
 	freeWorkers    []*worker
@@ -295,6 +297,7 @@ func (e *Engine) SchedStats() SchedStats {
 		PeakHeapLen:  e.peakHeapLen,
 		LaneLen:      e.lane.n,
 		Dispatched:   e.dispatched,
+		Switches:     e.switches,
 		Compactions:  e.compactions,
 		FreeEvents:   len(e.freeEvents),
 		FreeWorkers:  len(e.freeWorkers),

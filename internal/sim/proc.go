@@ -1,11 +1,20 @@
+//go:build go1.23
+
 package sim
 
-// Proc is a goroutine-backed simulation process. A process runs model code
-// sequentially in virtual time, blocking on Sleep, conditions, resources
-// and queues. The engine guarantees at most one process (or event callback)
-// executes at any real-time instant, so model state needs no locking.
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
+
+// Proc is a simulation process run as a coroutine. A process runs model
+// code sequentially in virtual time, blocking on Sleep, conditions,
+// resources and queues. The engine guarantees at most one process (or
+// event callback) executes at any real-time instant, so model state needs
+// no locking.
 //
-// All Proc methods must be called from the process's own goroutine.
+// All Proc methods must be called from the process's own body.
 type Proc struct {
 	eng      *Engine
 	name     string
@@ -21,17 +30,18 @@ type Proc struct {
 	pollInterval Time
 }
 
-// worker is a reusable goroutine that runs process bodies. When a process
-// finishes, its worker (goroutine and both handoff channels) parks on the
+// worker is a reusable coroutine that runs process bodies. It is one
+// iter.Pull over loop: the engine resumes it with next, and the body hands
+// the CPU back with yield — false when it parks, true when it returns.
+// The switch is runtime.coroswitch, a direct stack switch that bypasses
+// the Go scheduler. When a process finishes, its worker parks on the
 // engine's free list and the next Go reuses it, so process churn does not
-// pay goroutine creation. The channels are buffered with capacity one:
-// the handoff is a single token in each direction, and the sender never
-// blocks — only the side waiting for the CPU does.
+// pay coroutine creation.
 type worker struct {
-	resume chan struct{}
-	parked chan bool // true = process body finished
-	p      *Proc
-	fn     func(*Proc)
+	next  func() (bool, bool)
+	yield func(bool) bool
+	p     *Proc
+	fn    func(*Proc)
 }
 
 // SetDaemon marks the process as a background service (an LCP, a daemon,
@@ -60,11 +70,8 @@ func (e *Engine) startProc(p *Proc, fn func(p *Proc)) {
 		e.freeWorkers[n-1] = nil
 		e.freeWorkers = e.freeWorkers[:n-1]
 	} else {
-		w = &worker{
-			resume: make(chan struct{}, 1),
-			parked: make(chan bool, 1),
-		}
-		go w.loop()
+		w = &worker{}
+		w.next, _ = iter.Pull(w.loop)
 	}
 	w.p = p
 	w.fn = fn
@@ -72,19 +79,36 @@ func (e *Engine) startProc(p *Proc, fn func(p *Proc)) {
 	e.schedule(p)
 }
 
-// loop runs process bodies forever. Each iteration is one full process
-// lifetime: wait for the first schedule, run the body (absorbing the kill
-// unwind), then report completion and go back to the free list.
-func (w *worker) loop() {
+// loop runs process bodies forever. It starts on the first schedule;
+// each iteration is one full process lifetime: run the body (absorbing
+// the kill unwind), then report completion and wait on the free list for
+// the next spawn to rebind it.
+func (w *worker) loop(yield func(bool) bool) {
+	w.yield = yield
 	for {
-		<-w.resume
 		w.run()
-		w.parked <- true
+		if !yield(true) {
+			return
+		}
 	}
 }
 
+// ProcPanic is the value a process body's panic surfaces as: iter.Pull
+// re-raises it from the engine's Step, so the stack trace there no longer
+// shows the model code. Stack is the body's own stack at the panic.
+type ProcPanic struct {
+	Proc  string // the panicking process's name
+	Value any    // the body's original panic value
+	Stack []byte // debug.Stack() taken in the body
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", pp.Proc, pp.Value, pp.Stack)
+}
+
 // run executes the current process body, catching the kill panic for this
-// process only. Deferred functions in the body run on the unwind.
+// process only. Deferred functions in the body run on the unwind. Any
+// other panic is re-raised as a *ProcPanic carrying the body's stack.
 func (w *worker) run() {
 	p := w.p
 	defer func() {
@@ -92,24 +116,25 @@ func (w *worker) run() {
 			if pk, ok := r.(procKilled); ok && pk.p == p {
 				return
 			}
-			panic(r)
+			panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
 		}
 	}()
 	w.fn(p)
 }
 
 // schedule hands the CPU to p and waits until it parks or finishes.
-// Called only from the engine goroutine (inside an event callback).
-// Scheduling a finished process is a harmless no-op, so stale wakeups
-// (e.g. a condition broadcast racing a Kill) are safe.
+// Called only from the engine goroutine (inside an event callback), so
+// next is never called concurrently, as iter.Pull requires. Scheduling a
+// finished process is a harmless no-op, so stale wakeups (e.g. a
+// condition broadcast racing a Kill) are safe.
 func (e *Engine) schedule(p *Proc) {
 	if !p.live {
 		return
 	}
 	p.parkedAt = ""
+	e.switches++
 	w := p.w
-	w.resume <- struct{}{}
-	if done := <-w.parked; done {
+	if done, _ := w.next(); done {
 		p.live = false
 		delete(e.procs, p)
 		w.p = nil
@@ -121,9 +146,7 @@ func (e *Engine) schedule(p *Proc) {
 // park blocks the process until another event calls e.schedule(p).
 func (p *Proc) park(where string) {
 	p.parkedAt = where
-	w := p.w
-	w.parked <- false
-	<-w.resume
+	p.w.yield(false)
 	if p.killed {
 		panic(procKilled{p})
 	}
@@ -153,7 +176,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // is identical to `for !check() { p.Sleep(interval) }` — one event per
 // sample, the process resumes at the first sample where the predicate
 // holds — but false samples run on the engine goroutine, so each costs a
-// predicate call instead of the park/resume goroutine round trip. That
+// predicate call instead of a park/resume coroutine switch. That
 // makes it the right shape for spin loops (polling a completion word at
 // cache speed), where almost every sample is false. Samples ride the
 // engine's poll lane (see pollLane), so posting and dispatching one is

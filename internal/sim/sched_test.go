@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -177,8 +178,8 @@ func TestKilledWaiterDoesNotSwallowSignal(t *testing.T) {
 }
 
 // TestWorkerReuse checks that sequential process lifetimes share
-// goroutines: after many short-lived processes, the engine holds a small
-// worker pool rather than having spawned one goroutine each.
+// coroutines: after many short-lived processes, the engine holds a small
+// worker pool rather than having spawned one coroutine each.
 func TestWorkerReuse(t *testing.T) {
 	e := NewEngine()
 	const procs = 500
@@ -204,6 +205,77 @@ func TestWorkerReuse(t *testing.T) {
 		t.Errorf("sequential lifetimes grew the worker pool to %d, want <= 4 (reuse broken)",
 			st.FreeWorkers)
 	}
+}
+
+// TestSwitchesCount pins SchedStats.Switches on a script with a known
+// number of handoffs: one per process start and one per resume from a
+// park. False PollEvery samples and wakeups of finished processes run on
+// the engine and are not switches.
+func TestSwitchesCount(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	flag := false
+	// Expected switches per process: a start, then one per resume.
+	sleeper := e.Go("sleeper", func(p *Proc) { // start + 2 wakes = 3
+		p.Sleep(10)
+		p.Sleep(10)
+	})
+	e.Go("waiter", func(p *Proc) { // start + signal = 2
+		c.Wait(p)
+	})
+	e.Go("timeout", func(p *Proc) { // start + expiry = 2
+		NewCond(e).WaitTimeout(p, 5)
+	})
+	victim := e.Go("victim", func(p *Proc) { // start + kill unwind = 2
+		NewCond(e).Wait(p)
+	})
+	e.Go("poller", func(p *Proc) { // start + the one true sample = 2
+		p.PollEvery(1, func() bool { return flag })
+	})
+	e.At(15, func() { c.Signal(); flag = true })
+	e.At(20, func() { victim.Kill() })
+	e.At(30, func() { sleeper.Kill() }) // finished: a stale wakeup
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.SchedStats().Switches; got != 11 {
+		t.Errorf("Switches = %d, want 11", got)
+	}
+}
+
+// panicInModel stands in for a model bug inside a process body.
+func panicInModel() {
+	var m map[string]int
+	m["x"] = 1
+}
+
+// TestProcPanicKeepsStack: a body's panic reaches Run's caller as a
+// *ProcPanic naming the process and carrying the body's own stack, so
+// the trace shows the model frame that failed, not just the engine's.
+func TestProcPanicKeepsStack(t *testing.T) {
+	e := NewEngine()
+	e.Go("faulty", func(p *Proc) {
+		p.Sleep(1)
+		panicInModel()
+	})
+	defer func() {
+		r := recover()
+		pp, ok := r.(*ProcPanic)
+		if !ok {
+			t.Fatalf("recovered %T (%v), want *ProcPanic", r, r)
+		}
+		if pp.Proc != "faulty" || !strings.Contains(pp.Error(), `"faulty"`) {
+			t.Errorf("panic names process %q (%q), want \"faulty\"", pp.Proc, pp.Error())
+		}
+		if _, ok := pp.Value.(runtime.Error); !ok {
+			t.Errorf("panic value %v, want the body's runtime error", pp.Value)
+		}
+		if !strings.Contains(string(pp.Stack), "sim.panicInModel") {
+			t.Errorf("panic stack lacks the model frame:\n%s", pp.Stack)
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned after a process body panicked")
 }
 
 // TestSameNameKillTargetsOnlyVictim: two processes sharing a name, one

@@ -2,9 +2,9 @@
 //
 // The engine advances a virtual clock by executing scheduled events in
 // timestamp order. Model code can be written either as plain event
-// callbacks or as goroutine-backed processes (Proc) that block on virtual
-// time, conditions, resources, and queues. At most one goroutine runs at a
-// time, and ties in the event heap are broken by scheduling order, so every
+// callbacks or as coroutine processes (Proc) that block on virtual time,
+// conditions, resources, and queues. At most one of them runs at a time,
+// and ties in the event heap are broken by scheduling order, so every
 // run of the same model is bit-for-bit reproducible.
 package sim
 
