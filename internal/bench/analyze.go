@@ -90,3 +90,29 @@ func analysisJSON(rep *analysis.Report, indent string) string {
 // takeAnalysis pops the most recent run's report for sweeps that collect
 // one per configuration; nil when analysis is disabled.
 func takeAnalysis() *analysis.Report { return lastAnalysis }
+
+// runTwice runs one sweep cell twice and returns the second run's
+// result and analysis report. Every virtual-time quantity must
+// reproduce exactly, so it fails, naming the sweep and the cell, when
+// the results differ under same (== when same is nil; a sweep whose
+// result holds wall-clock fields passes its own) or when the two
+// analysis reports differ.
+func runTwice[R comparable](sweep, cell string, run func() (R, error), same func(a, b R) bool) (R, *analysis.Report, error) {
+	first, err := run()
+	if err != nil {
+		return first, nil, err
+	}
+	firstRep := takeAnalysis()
+	again, err := run()
+	if err != nil {
+		return again, nil, err
+	}
+	rep := takeAnalysis()
+	if same == nil && first != again || same != nil && !same(first, again) {
+		return again, rep, fmt.Errorf("bench: %s determinism drift in %q: %+v vs %+v", sweep, cell, first, again)
+	}
+	if rep != nil && firstRep != nil && analysisJSON(rep, "") != analysisJSON(firstRep, "") {
+		return again, rep, fmt.Errorf("bench: %s analysis drift in %q", sweep, cell)
+	}
+	return again, rep, nil
+}

@@ -77,11 +77,6 @@ func CollSweep(cfg CollConfig) (Table, error) {
 			"auto picks", "payload msgs", "credit stalls"},
 	}
 
-	check, err := runCollCase(cfg.Nodes[0], cfg.Sizes[0], coll.Tree, cfg.Iters)
-	if err != nil {
-		return t, err
-	}
-	checkRep := takeAnalysis()
 	var (
 		results []CollResult
 		reports []*analysis.Report
@@ -89,21 +84,20 @@ func CollSweep(cfg CollConfig) (Table, error) {
 	for _, n := range cfg.Nodes {
 		for _, size := range cfg.Sizes {
 			for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
-				r, err := runCollCase(n, size, algo, cfg.Iters)
+				run := func() (CollResult, error) { return runCollCase(n, size, algo, cfg.Iters) }
+				var (
+					r   CollResult
+					rep *analysis.Report
+					err error
+				)
+				if n == cfg.Nodes[0] && size == cfg.Sizes[0] && algo == coll.Tree {
+					r, rep, err = runTwice("collsweep", fmt.Sprintf("%d nodes/%d B %s", n, size, algo), run, nil)
+				} else {
+					r, err = run()
+					rep = takeAnalysis()
+				}
 				if err != nil {
 					return t, err
-				}
-				rep := takeAnalysis()
-				if n == cfg.Nodes[0] && size == cfg.Sizes[0] && algo == coll.Tree {
-					if r.PerOp != check.PerOp || r.PayloadMsgs != check.PayloadMsgs {
-						return t, fmt.Errorf(
-							"bench: collsweep determinism drift at %d nodes/%d B: per-op %v vs %v, msgs %d vs %d",
-							n, size, r.PerOp, check.PerOp, r.PayloadMsgs, check.PayloadMsgs)
-					}
-					if rep != nil && checkRep != nil &&
-						analysisJSON(rep, "") != analysisJSON(checkRep, "") {
-						return t, fmt.Errorf("bench: collsweep analysis drift at %d nodes/%d B", n, size)
-					}
 				}
 				results = append(results, r)
 				reports = append(reports, rep)

@@ -126,23 +126,11 @@ func HealSweep(cfg HealConfigSweep) (Table, error) {
 		reports []*analysis.Report
 	)
 	for _, cl := range cells {
-		r, err := runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
+		r, rep, err := runTwice("healsweep", cl.name, func() (HealResult, error) {
+			return runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
+		}, nil)
 		if err != nil {
 			return t, err
-		}
-		firstRep := takeAnalysis()
-		again, err := runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: healsweep determinism drift in %q: %+v vs %+v",
-				cl.name, r, again)
-		}
-		if rep != nil && firstRep != nil &&
-			analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: healsweep analysis drift in %q", cl.name)
 		}
 		label := cl.name
 		if cl.outage > 0 {

@@ -69,41 +69,16 @@ type ReplicaResult struct {
 	Shards int
 	Rate   float64
 	Static bool
-
-	Offered  int64
-	OK       int64
-	Late     int64
-	Rejected int64
-	Expired  int64
-	TimedOut int64
-	Dropped  int64
-	Errors   int64
-
-	Sends        int64
-	Retries      int64
-	BudgetDenied int64
+	Outcome
 
 	Puts          int64
 	RYWFallbacks  int64
 	RYWViolations int64
 
-	ShedArrive int64
-	ShedServe  int64
-	DepthPeak  int
-
 	Applies       int64
 	ApplyFails    int64
 	ApplySkipped  int64
 	DeadFollowers int
-
-	P50     sim.Time
-	P99     sim.Time
-	P999    sim.Time
-	ShedP99 sim.Time
-
-	GoodputFrac   float64
-	Elapsed       sim.Time
-	TransportErrs int64
 
 	// HotOffered is the router's per-replica attempt count on shard 0 —
 	// the Zipf-hot shard — for the routing-flatness comparison.
@@ -216,21 +191,11 @@ func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 		reports []*analysis.Report
 	)
 	for _, cl := range cells {
-		r, err := runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
+		r, rep, err := runTwice("replicasweep", cl.name, func() (ReplicaResult, error) {
+			return runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
+		}, nil)
 		if err != nil {
 			return t, err
-		}
-		firstRep := takeAnalysis()
-		again, err := runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: replicasweep determinism drift in %q: %+v vs %+v", cl.name, r, again)
-		}
-		if rep != nil && firstRep != nil && analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: replicasweep analysis drift in %q", cl.name)
 		}
 		results = append(results, r)
 		reports = append(reports, rep)
@@ -407,7 +372,7 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 			return
 		}
 		start := p.Now()
-		stats, err := tier.RunOpenLoop(p, replica.WorkloadConfig{
+		stats, err := tier.RunOpenLoop(p, serve.WorkloadConfig{
 			Rate:     rate,
 			Requests: requests,
 			Theta:    theta,
@@ -446,27 +411,10 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 // fillReplicaResult distills workload stats and tier counters into a
 // cell result.
 func fillReplicaResult(res *ReplicaResult, tier *replica.Tier, stats *replica.Stats) {
-	res.Offered = stats.Offered
-	res.OK = stats.OK
-	res.Late = stats.Late
-	res.Rejected = stats.Rejected
-	res.Expired = stats.Expired
-	res.TimedOut = stats.TimedOut
-	res.Dropped = stats.Dropped
-	res.Errors = stats.Errors
-	res.Sends = stats.Sends
-	res.Retries = stats.Retries
-	res.BudgetDenied = stats.BudgetDenied
-	res.Puts = stats.Puts
-	res.RYWFallbacks = stats.RYWFallbacks
-	res.RYWViolations = stats.RYWViolations
+	var adms []*serve.Admitter
 	for _, set := range tier.Sets() {
 		for _, rep := range set.Replicas {
-			res.ShedArrive += rep.ShedArrive
-			res.ShedServe += rep.ShedServe
-			if rep.DepthPeak > res.DepthPeak {
-				res.DepthPeak = rep.DepthPeak
-			}
+			adms = append(adms, &rep.Admitter)
 			res.Applies += rep.Applies
 			res.ApplyFails += rep.ApplyFails
 			res.ApplySkipped += rep.ApplySkipped
@@ -475,18 +423,14 @@ func fillReplicaResult(res *ReplicaResult, tier *replica.Tier, stats *replica.St
 			}
 		}
 	}
+	res.fill(&stats.Stats, adms, tier.TransportErrors())
+	res.Puts = stats.Puts
+	res.RYWFallbacks = stats.RYWFallbacks
+	res.RYWViolations = stats.RYWViolations
 	for j, rep := range tier.Set(0).Replicas {
 		res.HotOffered[j] = rep.Offered
 		res.HotServed[j] = rep.Server().Calls
 	}
-	res.P50 = quantile(stats.LatOK, 50)
-	res.P99 = quantile(stats.LatOK, 99)
-	res.P999 = quantileMil(stats.LatOK, 999)
-	res.ShedP99 = quantile(stats.LatShed, 99)
-	if stats.Offered > 0 {
-		res.GoodputFrac = float64(stats.OK) / float64(stats.Offered)
-	}
-	res.TransportErrs = tier.TransportErrors()
 }
 
 // writeReplicaJSON emits the replication artifact: the R ablation grid,

@@ -42,15 +42,11 @@ const (
 	serveSeed     = 0x5E2F7E01
 )
 
-// ServeResult is one cell: outcome counts, latency quantiles, and the
-// admission machinery's counters. All fields are deterministic; the
-// sweep double-runs every cell and fails on drift.
-type ServeResult struct {
-	Case      string
-	Shards    int
-	Rate      float64
-	Admission bool
-
+// Outcome is the part of a serving cell's result both tiers report:
+// the run's outcome counts, its servers' admission counters, and the
+// latency quantiles. It holds no slices, so results embedding it stay
+// comparable for the double-run check.
+type Outcome struct {
 	Offered  int64
 	OK       int64
 	Late     int64
@@ -75,7 +71,49 @@ type ServeResult struct {
 	GoodputFrac   float64 // OK / Offered
 	Elapsed       sim.Time
 	TransportErrs int64
-	HotOffered    int64 // shard 0's offered share (the Zipf-hot shard)
+}
+
+// fill distills a run's stats, its servers' admission counters and the
+// tier's transport error count into o. Elapsed is the caller's.
+func (o *Outcome) fill(stats *serve.Stats, adms []*serve.Admitter, transportErrs int64) {
+	o.Offered = stats.Offered
+	o.OK = stats.OK
+	o.Late = stats.Late
+	o.Rejected = stats.Rejected
+	o.Expired = stats.Expired
+	o.TimedOut = stats.TimedOut
+	o.Dropped = stats.Dropped
+	o.Errors = stats.Errors
+	o.Sends = stats.Sends
+	o.Retries = stats.Retries
+	o.BudgetDenied = stats.BudgetDenied
+	for _, a := range adms {
+		o.ShedArrive += a.ShedArrive
+		o.ShedServe += a.ShedServe
+		if a.DepthPeak > o.DepthPeak {
+			o.DepthPeak = a.DepthPeak
+		}
+	}
+	o.P50 = quantileMil(stats.LatOK, 500)
+	o.P99 = quantileMil(stats.LatOK, 990)
+	o.P999 = quantileMil(stats.LatOK, 999)
+	o.ShedP99 = quantileMil(stats.LatShed, 990)
+	if stats.Offered > 0 {
+		o.GoodputFrac = float64(stats.OK) / float64(stats.Offered)
+	}
+	o.TransportErrs = transportErrs
+}
+
+// ServeResult is one cell: the serving outcome plus the shard geometry.
+// All fields are deterministic; the sweep double-runs every cell and
+// fails on drift.
+type ServeResult struct {
+	Case      string
+	Shards    int
+	Rate      float64
+	Admission bool
+	Outcome
+	HotOffered int64 // shard 0's offered share (the Zipf-hot shard)
 }
 
 // ServeSweep drives the sharded KV serving tier across offered-load
@@ -143,27 +181,24 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 		results []ServeResult
 		reports []*analysis.Report
 	)
-	for _, cl := range cells {
-		r, err := runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
+	add := func(name string, run func() (ServeResult, error)) error {
+		r, rep, err := runTwice("servesweep", name, run, nil)
 		if err != nil {
-			return t, err
-		}
-		firstRep := takeAnalysis()
-		again, err := runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: servesweep determinism drift in %q: %+v vs %+v", cl.name, r, again)
-		}
-		if rep != nil && firstRep != nil && analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: servesweep analysis drift in %q", cl.name)
+			return err
 		}
 		results = append(results, r)
 		reports = append(reports, rep)
-		t.Notes = append(t.Notes, analysisNote(cl.name, rep))
+		t.Notes = append(t.Notes, analysisNote(name, rep))
 		t.Rows = append(t.Rows, serveRow(r))
+		return nil
+	}
+	for _, cl := range cells {
+		err := add(cl.name, func() (ServeResult, error) {
+			return runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
+		})
+		if err != nil {
+			return t, err
+		}
 	}
 
 	// The outage pair: same workload on the diamond fabric, clean and
@@ -173,26 +208,9 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 		if outage {
 			name = "fault outage+heal"
 		}
-		r, err := runServeFaultCell(name, outage, cfg.Requests)
-		if err != nil {
+		if err := add(name, func() (ServeResult, error) { return runServeFaultCell(name, outage, cfg.Requests) }); err != nil {
 			return t, err
 		}
-		firstRep := takeAnalysis()
-		again, err := runServeFaultCell(name, outage, cfg.Requests)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: servesweep determinism drift in %q: %+v vs %+v", name, r, again)
-		}
-		if rep != nil && firstRep != nil && analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: servesweep analysis drift in %q", name)
-		}
-		results = append(results, r)
-		reports = append(reports, rep)
-		t.Notes = append(t.Notes, analysisNote(name, rep))
-		t.Rows = append(t.Rows, serveRow(r))
 	}
 
 	if err := serveAcceptance(cfg, results); err != nil {
@@ -439,37 +457,16 @@ func runServeFaultCell(name string, outage bool, requests int) (ServeResult, err
 // fillServeResult distills workload stats and tier counters into a cell
 // result.
 func fillServeResult(res *ServeResult, tier *serve.Tier, stats *serve.Stats) {
-	res.Offered = stats.Offered
-	res.OK = stats.OK
-	res.Late = stats.Late
-	res.Rejected = stats.Rejected
-	res.Expired = stats.Expired
-	res.TimedOut = stats.TimedOut
-	res.Dropped = stats.Dropped
-	res.Errors = stats.Errors
-	res.Sends = stats.Sends
-	res.Retries = stats.Retries
-	res.BudgetDenied = stats.BudgetDenied
+	var adms []*serve.Admitter
 	for _, sh := range tier.Shards() {
-		res.ShedArrive += sh.ShedArrive
-		res.ShedServe += sh.ShedServe
-		if sh.DepthPeak > res.DepthPeak {
-			res.DepthPeak = sh.DepthPeak
-		}
+		adms = append(adms, &sh.Admitter)
 	}
+	res.fill(stats, adms, tier.TransportErrors())
 	res.HotOffered = tier.Shard(0).Offered
-	res.P50 = quantile(stats.LatOK, 50)
-	res.P99 = quantile(stats.LatOK, 99)
-	res.P999 = quantileMil(stats.LatOK, 999)
-	res.ShedP99 = quantile(stats.LatShed, 99)
-	if stats.Offered > 0 {
-		res.GoodputFrac = float64(stats.OK) / float64(stats.Offered)
-	}
-	res.TransportErrs = tier.TransportErrors()
 }
 
-// quantileMil is quantile with per-mille resolution (q of 999 = p99.9),
-// nearest-rank over an ascending list.
+// quantileMil picks the q-th per-mille of an ascending list by the
+// nearest-rank method (q of 990 = p99, 999 = p99.9).
 func quantileMil(sorted []sim.Time, q int) sim.Time {
 	if len(sorted) == 0 {
 		return 0

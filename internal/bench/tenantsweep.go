@@ -119,23 +119,11 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 		if cl.rate != 0 {
 			caseCfg.AggRate = cl.rate
 		}
-		r, err := runTenantCase(cl.name, cl.aggressor, cl.qos, cl.crash, caseCfg)
+		r, rep, err := runTwice("tenantsweep", cl.name, func() (TenantResult, error) {
+			return runTenantCase(cl.name, cl.aggressor, cl.qos, cl.crash, caseCfg)
+		}, nil)
 		if err != nil {
 			return t, err
-		}
-		firstRep := takeAnalysis()
-		again, err := runTenantCase(cl.name, cl.aggressor, cl.qos, cl.crash, caseCfg)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: tenantsweep determinism drift in %q: %+v vs %+v",
-				cl.name, r, again)
-		}
-		if rep != nil && firstRep != nil &&
-			analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: tenantsweep analysis drift in %q", cl.name)
 		}
 		results = append(results, r)
 		reports = append(reports, rep)
@@ -412,30 +400,14 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 	res.Calls = len(latencies)
 	sorted := append([]sim.Time(nil), latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	res.P50 = quantile(sorted, 50)
-	res.P99 = quantile(sorted, 99)
+	res.P50 = quantileMil(sorted, 500)
+	res.P99 = quantileMil(sorted, 990)
 	res.Max = sorted[len(sorted)-1]
 	for i := 0; i < 2; i++ {
 		st := c.Nodes[i].LCP.Stats()
 		res.Preempts += st.ShortPreempts
 	}
 	return res, nil
-}
-
-// quantile picks the q-th percentile of an ascending latency list by the
-// nearest-rank method.
-func quantile(sorted []sim.Time, q int) sim.Time {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := (q*len(sorted) + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1]
 }
 
 // writeTenantJSON emits the noisy-neighbor artifact: per-cell victim

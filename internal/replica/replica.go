@@ -9,6 +9,12 @@
 // follower read and re-read the primary, giving read-your-writes
 // without synchronous replication.
 //
+// The open-loop driver, the admission policy, the run statistics and
+// the PRNG are serve's (serve.Core, serve.Admitter, serve.Stats,
+// serve.SplitMix64); this package keeps only what replication adds:
+// placement, the versioned store and its handlers, the router, the
+// appliers, and Group with its read-your-writes fallback.
+//
 // The availability claim this buys — a replica death costs goodput
 // nothing, only a tail bump — is measured by bench.ReplicaSweep
 // (`vmmcbench -experiment replicasweep`): an R ablation at equal total
@@ -98,10 +104,9 @@ type Replica struct {
 	proc  *vmmc.Process
 	store map[uint32]entry
 
-	Offered    int64 // client attempts the router sent here
-	ShedArrive int64
-	ShedServe  int64
-	DepthPeak  int
+	// Admitter holds the admission counters; Offered counts the client
+	// attempts the router sent here.
+	serve.Admitter
 
 	Applies      int64 // replication applies accepted (followers)
 	StaleApplies int64 // applies superseded by a newer version
@@ -121,13 +126,12 @@ type ReplicaSet struct {
 
 // Tier is a running replicated serving tier.
 type Tier struct {
+	serve.Core
 	eng     *sim.Engine
-	cluster *vmmc.Cluster
 	cfg     Config
 	sets    []*ReplicaSet
 	router  *router
-	applies []*applyQueue   // indexed [shard*(R-1) + (follower-1)]
-	procs   []*vmmc.Process // every process the tier created
+	applies []*applyQueue // indexed [shard*(R-1) + (follower-1)]
 
 	// onAttempt, when set, observes every routed attempt (shard,
 	// replica) — the alternation regression test's probe.
@@ -249,7 +253,7 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tier{eng: c.Eng, cluster: c, cfg: cfg}
+	t := &Tier{Core: serve.Core{Cluster: c}, eng: c.Eng, cfg: cfg}
 	if maxSlot := t.slotsPerServer(); maxSlot > 0xF0 {
 		return nil, fmt.Errorf("replica: %d slots per server would collide with the reply tag range", maxSlot)
 	}
@@ -258,11 +262,10 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 		set := &ReplicaSet{Shard: g}
 		for j := 0; j < cfg.R; j++ {
 			node := placement[g][j]
-			proc, err := c.Nodes[node].NewProcess(p)
+			proc, err := t.NewProcess(p, node)
 			if err != nil {
 				return nil, err
 			}
-			t.procs = append(t.procs, proc)
 			srv, err := rpc.NewServer(p, proc, t.slotsPerServer())
 			if err != nil {
 				return nil, err
@@ -281,7 +284,8 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 				rep.store[uint32(k)] = entry{ver: 1, val: val}
 			}
 			t.registerHandlers(set, rep)
-			srv.SetAdmission(t.admissionFunc(rep))
+			depth := t.eng.Metrics().Gauge(fmt.Sprintf("replica/s%dr%d/queue_depth", g, j))
+			srv.SetAdmission(rep.Policy(cfg.Admission, cfg.ServiceTime, depth))
 			srv.SetLoadHints(true)
 			srv.Start()
 			set.Replicas = append(set.Replicas, rep)
@@ -352,40 +356,6 @@ func (t *Tier) registerHandlers(set *ReplicaSet, rep *Replica) {
 	})
 }
 
-// admissionFunc mirrors serve's policy: arrival-queue bound, CoDel-style
-// sojourn target, hopeless-budget shedding — per replica.
-func (t *Tier) admissionFunc(rep *Replica) rpc.AdmissionFunc {
-	var ac serve.AdmissionConfig
-	if t.cfg.Admission != nil {
-		ac = *t.cfg.Admission
-	}
-	service := t.cfg.ServiceTime
-	depthGauge := t.eng.Metrics().Gauge(fmt.Sprintf("replica/s%dr%d/queue_depth", rep.Shard, rep.Idx))
-	return func(phase rpc.AdmitPhase, depth int, waited, remaining sim.Time) bool {
-		if depth > rep.DepthPeak {
-			rep.DepthPeak = depth
-		}
-		depthGauge.Set(float64(depth))
-		switch phase {
-		case rpc.AdmitArrive:
-			if ac.MaxQueue > 0 && depth > ac.MaxQueue {
-				rep.ShedArrive++
-				return false
-			}
-		case rpc.AdmitServe:
-			if ac.Target > 0 && waited > ac.Target {
-				rep.ShedServe++
-				return false
-			}
-			if (ac.MaxQueue > 0 || ac.Target > 0) && remaining != rpc.NoDeadline && remaining < service {
-				rep.ShedServe++
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // KillReplica kills replica j of shard g with the scoped KillProcess
 // path: exports and imports are scrubbed locally, in-flight chunks for
 // its windows are dropped at the interface, and no wire traffic is
@@ -393,17 +363,6 @@ func (t *Tier) admissionFunc(rep *Replica) rpc.AdmissionFunc {
 func (t *Tier) KillReplica(g, j int) {
 	rep := t.sets[g].Replicas[j]
 	rep.proc.Node.KillProcess(rep.proc.Pid)
-}
-
-// TransportErrors sums send and import failures across every process
-// the tier created — the "zero victim errors" check for kill cells.
-func (t *Tier) TransportErrors() int64 {
-	total := int64(0)
-	for _, pr := range t.procs {
-		e := pr.Errors()
-		total += e.SendFailures + e.ImportFailures
-	}
-	return total
 }
 
 // EmitUsage publishes each replica's routing, admission, and

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"repro/internal/rpc"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -90,10 +91,10 @@ func (rt *router) pick(now sim.Time, g int, key uint32, exclude int) int {
 	// Two-choice: draw two distinct candidates, keep the better score.
 	// Ties go to the first draw — rng-uniform, so equally-loaded
 	// replicas share traffic instead of funneling to one index.
-	a := cands[int(splitmix64(&rt.rng)%uint64(len(cands)))]
+	a := cands[int(serve.SplitMix64(&rt.rng)%uint64(len(cands)))]
 	b := a
 	for b == a {
-		b = cands[int(splitmix64(&rt.rng)%uint64(len(cands)))]
+		b = cands[int(serve.SplitMix64(&rt.rng)%uint64(len(cands)))]
 	}
 	if rt.score(now, g, b) < rt.score(now, g, a) {
 		return b

@@ -2,11 +2,12 @@ package serve
 
 import "math"
 
-// Deterministic splitmix64 generator, the repo's standard for seeded
-// workload randomness: identical sequences on every run and platform,
-// which is what lets the sweep double-run cells and demand byte
-// identity.
-func splitmix64(s *uint64) uint64 {
+// SplitMix64 advances a deterministic splitmix64 generator, the repo's
+// standard for seeded workload randomness: identical sequences on every
+// run and platform, which is what lets the sweeps double-run cells and
+// demand byte identity. The serving tiers' load generator, retry jitter
+// and replica router all draw from it.
+func SplitMix64(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
 	z := *s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -16,7 +17,7 @@ func splitmix64(s *uint64) uint64 {
 
 // unit draws from [0, 1) with 53 bits of precision.
 func unit(s *uint64) float64 {
-	return float64(splitmix64(s)>>11) / (1 << 53)
+	return float64(SplitMix64(s)>>11) / (1 << 53)
 }
 
 // expDraw draws an exponential variate with the given mean by inverse

@@ -19,6 +19,13 @@
 // coll.CreditDeadlockError). bench.ServeSweep drives the tier across
 // offered-load rates, an admission on/off ablation, a hot-shard cell,
 // and a link-outage + heal cell.
+//
+// The package is also the serving core the replicated tier
+// (internal/replica) runs on: the open-loop driver (Core.Drive), the
+// admission policy and its counters (Admitter), the run statistics
+// (Stats) and the seeded PRNG (SplitMix64). A tier supplies only how a
+// worker dials and warms, how it resolves one request, and which warm
+// counters to reset.
 package serve
 
 import (
@@ -26,6 +33,7 @@ import (
 
 	"repro/internal/rpc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmmc"
 	"repro/internal/xdr"
 )
@@ -64,17 +72,64 @@ type Config struct {
 	Admission *AdmissionConfig
 }
 
+// Admitter is one server's admission state: the counters its policy
+// keeps, plus the offered count its tier keeps. serve.Shard and
+// replica.Replica embed it.
+type Admitter struct {
+	Offered    int64 // requests (serve) or routed attempts (replica) sent to this server
+	ShedArrive int64 // shed at the arrival queue bound
+	ShedServe  int64 // shed at dispatch (sojourn target or hopeless budget)
+	DepthPeak  int   // high-water arrival-queue depth
+}
+
+// Policy builds the server's rpc.AdmissionFunc: the arrival-queue bound,
+// the CoDel-style sojourn target and hopeless-budget shedding of cfg,
+// for requests that take service to serve. Every verdict publishes the
+// queue depth on depth. With cfg nil the policy only counts: it admits
+// everything and adds no simulated cost, so depth statistics exist for
+// the admission-off ablation while timing stays untouched.
+func (a *Admitter) Policy(cfg *AdmissionConfig, service sim.Time, depth *trace.Gauge) rpc.AdmissionFunc {
+	var ac AdmissionConfig
+	if cfg != nil {
+		ac = *cfg
+	}
+	return func(phase rpc.AdmitPhase, d int, waited, remaining sim.Time) bool {
+		if d > a.DepthPeak {
+			a.DepthPeak = d
+		}
+		depth.Set(float64(d))
+		switch phase {
+		case rpc.AdmitArrive:
+			if ac.MaxQueue > 0 && d > ac.MaxQueue {
+				a.ShedArrive++
+				return false
+			}
+		case rpc.AdmitServe:
+			if ac.Target > 0 && waited > ac.Target {
+				a.ShedServe++
+				return false
+			}
+			// A request whose remaining budget cannot cover the service
+			// time is hopeless: shed it (retriable — a retry arrives
+			// with a fresh budget) rather than produce a reply that
+			// expires in flight.
+			if (ac.MaxQueue > 0 || ac.Target > 0) && remaining != rpc.NoDeadline && remaining < service {
+				a.ShedServe++
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // Shard is one KV shard: a vRPC server plus its admission counters.
+// Offered counts the requests the load generator routed here.
 type Shard struct {
 	ID    int
 	Node  int
 	srv   *rpc.Server
 	store map[uint32][]byte
-
-	Offered    int64 // requests routed to this shard by the load generator
-	ShedArrive int64 // shed at the arrival queue bound
-	ShedServe  int64 // shed at dispatch (sojourn target or hopeless budget)
-	DepthPeak  int   // high-water arrival-queue depth
+	Admitter
 }
 
 // Server exposes the shard's underlying vRPC server (counters,
@@ -83,12 +138,10 @@ func (s *Shard) Server() *rpc.Server { return s.srv }
 
 // Tier is a running serving tier.
 type Tier struct {
-	eng     *sim.Engine
-	cluster *vmmc.Cluster
-	cfg     Config
-	shards  []*Shard
-	queues  []*dispatchQueue // populated while RunOpenLoop is active
-	procs   []*vmmc.Process  // every process the tier created
+	Core
+	eng    *sim.Engine
+	cfg    Config
+	shards []*Shard
 }
 
 // Shards returns the tier's shards.
@@ -135,13 +188,12 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 	if cfg.ServiceTime <= 0 {
 		cfg.ServiceTime = sim.Micros(30)
 	}
-	t := &Tier{eng: c.Eng, cluster: c, cfg: cfg}
+	t := &Tier{Core: Core{Cluster: c}, eng: c.Eng, cfg: cfg}
 	for i, node := range cfg.ShardNodes {
-		proc, err := c.Nodes[node].NewProcess(p)
+		proc, err := t.NewProcess(p, node)
 		if err != nil {
 			return nil, err
 		}
-		t.procs = append(t.procs, proc)
 		srv, err := rpc.NewServer(p, proc, slotsPerServer(cfg))
 		if err != nil {
 			return nil, err
@@ -160,7 +212,8 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 			sh.store[uint32(k)] = val
 		}
 		t.registerHandlers(sh)
-		srv.SetAdmission(t.admissionFunc(sh))
+		depth := t.eng.Metrics().Gauge(fmt.Sprintf("serve/shard%d/queue_depth", i))
+		srv.SetAdmission(sh.Policy(cfg.Admission, cfg.ServiceTime, depth))
 		srv.Start()
 		t.shards = append(t.shards, sh)
 	}
@@ -202,46 +255,6 @@ func (t *Tier) registerHandlers(sh *Shard) {
 	})
 }
 
-// admissionFunc builds the shard's rpc.AdmissionFunc. Even with
-// admission disabled a counting-only policy is installed so depth
-// statistics exist for the ablation comparison; it admits everything
-// and adds no simulated cost, leaving timing untouched.
-func (t *Tier) admissionFunc(sh *Shard) rpc.AdmissionFunc {
-	var ac AdmissionConfig
-	if t.cfg.Admission != nil {
-		ac = *t.cfg.Admission
-	}
-	service := t.cfg.ServiceTime
-	depthGauge := t.eng.Metrics().Gauge(fmt.Sprintf("serve/shard%d/queue_depth", sh.ID))
-	return func(phase rpc.AdmitPhase, depth int, waited, remaining sim.Time) bool {
-		if depth > sh.DepthPeak {
-			sh.DepthPeak = depth
-		}
-		depthGauge.Set(float64(depth))
-		switch phase {
-		case rpc.AdmitArrive:
-			if ac.MaxQueue > 0 && depth > ac.MaxQueue {
-				sh.ShedArrive++
-				return false
-			}
-		case rpc.AdmitServe:
-			if ac.Target > 0 && waited > ac.Target {
-				sh.ShedServe++
-				return false
-			}
-			// A request whose remaining budget cannot cover the service
-			// time is hopeless: shed it (retriable — a retry arrives
-			// with a fresh budget) rather than produce a reply that
-			// expires in flight.
-			if (ac.MaxQueue > 0 || ac.Target > 0) && remaining != rpc.NoDeadline && remaining < service {
-				sh.ShedServe++
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // armDeadlockReport registers the tier's deadlock wrapper: if the
 // simulation wedges while requests are queued against a shard, the raw
 // engine report is wrapped in a ShardStuckError naming the deepest
@@ -257,7 +270,7 @@ func (t *Tier) armDeadlockReport() {
 				if q := t.queues[sh.ID]; q != nil {
 					d += len(q.items)
 					if len(q.items) > 0 {
-						if w := now - q.items[0].arrival; w > a {
+						if w := now - q.items[0].Arrival; w > a {
 							a = w
 						}
 					}

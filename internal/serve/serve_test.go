@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/rpc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmmc"
 )
 
@@ -239,5 +240,73 @@ func TestServeShardStuckTyped(t *testing.T) {
 	}
 	if sse.Shard != 0 || sse.Depth != 5 || sse.OldestAge <= 0 {
 		t.Errorf("shard/depth/age = %d/%d/%v, want 0/5/>0", sse.Shard, sse.Depth, sse.OldestAge)
+	}
+}
+
+// TestAdmitterPolicy pins the shared admission policy verdict by verdict:
+// which checks apply at arrival and at dispatch, which counter each shed
+// moves, that the hopeless-budget rule (remaining < service) applies only
+// when admission is enabled, and that DepthPeak tracks the high water.
+func TestAdmitterPolicy(t *testing.T) {
+	const service = 30 * sim.Microsecond
+	maxQueue := &AdmissionConfig{MaxQueue: 4}
+	target := &AdmissionConfig{Target: 100 * sim.Microsecond}
+	cases := []struct {
+		name              string
+		cfg               *AdmissionConfig
+		phase             rpc.AdmitPhase
+		depth             int
+		waited, remaining sim.Time
+		admit             bool
+		shedArrive        int64
+		shedServe         int64
+	}{
+		{"off/arrive over bound", nil, rpc.AdmitArrive, 9, 0, rpc.NoDeadline, true, 0, 0},
+		{"off/serve past target", nil, rpc.AdmitServe, 1, 500 * sim.Microsecond, rpc.NoDeadline, true, 0, 0},
+		{"off/serve hopeless", nil, rpc.AdmitServe, 1, 0, service - 1, true, 0, 0},
+		{"maxqueue/arrive at bound", maxQueue, rpc.AdmitArrive, 4, 0, rpc.NoDeadline, true, 0, 0},
+		{"maxqueue/arrive over bound", maxQueue, rpc.AdmitArrive, 5, 0, rpc.NoDeadline, false, 1, 0},
+		{"maxqueue/serve long wait", maxQueue, rpc.AdmitServe, 2, 500 * sim.Microsecond, rpc.NoDeadline, true, 0, 0},
+		{"maxqueue/serve hopeless", maxQueue, rpc.AdmitServe, 2, 0, service - 1, false, 0, 1},
+		{"maxqueue/serve budget covers", maxQueue, rpc.AdmitServe, 2, 0, service, true, 0, 0},
+		{"target/arrive deep", target, rpc.AdmitArrive, 50, 0, rpc.NoDeadline, true, 0, 0},
+		{"target/serve within", target, rpc.AdmitServe, 3, 100 * sim.Microsecond, rpc.NoDeadline, true, 0, 0},
+		{"target/serve past", target, rpc.AdmitServe, 3, 101 * sim.Microsecond, rpc.NoDeadline, false, 0, 1},
+		{"target/serve hopeless", target, rpc.AdmitServe, 3, 0, service - 1, false, 0, 1},
+	}
+	for _, c := range cases {
+		var a Admitter
+		var depth trace.Gauge
+		got := a.Policy(c.cfg, service, &depth)(c.phase, c.depth, c.waited, c.remaining)
+		if got != c.admit || a.ShedArrive != c.shedArrive || a.ShedServe != c.shedServe ||
+			a.DepthPeak != c.depth || depth.Value() != float64(c.depth) {
+			t.Errorf("%s: admit/shed_arrive/shed_serve/depth_peak/gauge = %v/%d/%d/%d/%g, want %v/%d/%d/%d/%d",
+				c.name, got, a.ShedArrive, a.ShedServe, a.DepthPeak, depth.Value(),
+				c.admit, c.shedArrive, c.shedServe, c.depth, c.depth)
+		}
+	}
+
+	var a Admitter
+	var depth trace.Gauge
+	policy := a.Policy(maxQueue, service, &depth)
+	for _, d := range []int{3, 7, 2} {
+		policy(rpc.AdmitArrive, d, 0, rpc.NoDeadline)
+	}
+	if a.DepthPeak != 7 || a.ShedArrive != 1 {
+		t.Errorf("depth_peak/shed_arrive after depths 3,7,2 = %d/%d, want 7/1", a.DepthPeak, a.ShedArrive)
+	}
+}
+
+// TestServeRejectsWrites checks that the unreplicated tier refuses a
+// workload with a write mix: PutFrac is the replicated tier's knob.
+func TestServeRejectsWrites(t *testing.T) {
+	cfg := Config{ShardNodes: []int{1}, ClientNodes: []int{0}, Conns: 1}
+	err := tierSetup(t, cfg, 2, func(p *sim.Proc, tier *Tier, _ *vmmc.Process) {
+		if _, err := tier.RunOpenLoop(p, WorkloadConfig{Rate: 1000, Requests: 1, PutFrac: 0.5}); err == nil {
+			t.Error("RunOpenLoop accepted PutFrac 0.5")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
