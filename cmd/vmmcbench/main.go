@@ -42,17 +42,28 @@
 // artifact. -analyze prints the ranked top-k resource table after each
 // experiment, and -analyze-out writes the report JSON (last run wins).
 // See docs/ANALYSIS.md.
+//
+// -cpuprofile and -memprofile write pprof profiles of the simulator
+// itself (wall-clock cost, not modeled time): a CPU profile of the whole
+// invocation and a heap profile taken after the last experiment. Read
+// them with `go tool pprof`; see docs/PERFORMANCE.md.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/bench"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run executes the command and returns its exit code. It returns rather
+// than exiting so that the deferred profile writers finish first.
+func run() int {
 	var (
 		id       = flag.String("experiment", "", "experiment id to run (default: all)")
 		detOnly  = flag.Bool("deterministic", false, "run only experiments with byte-identical output (the RESULTS.txt set)")
@@ -62,8 +73,32 @@ func main() {
 		traceCap = flag.Int("trace-capacity", 0, "trace ring buffer size in events (0 = default)")
 		analyze  = flag.Bool("analyze", false, "print the full bottleneck analysis table after each experiment")
 		analyOut = flag.String("analyze-out", "", "write the bottleneck analysis report JSON here (last run wins)")
+		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run here")
+		memProf  = flag.String("memprofile", "", "write a pprof heap profile here after the run")
 	)
 	flag.Parse()
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "vmmcbench: cpuprofile: %v\n", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintf(os.Stderr, "vmmcbench: cpuprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "vmmcbench: cpuprofile: %v\n", err)
+			}
+		}()
+	}
+	if *memProf != "" {
+		defer writeHeapProfile(*memProf)
+	}
 
 	if *list {
 		for _, e := range experiments {
@@ -74,7 +109,7 @@ func main() {
 			fmt.Printf("%s %-12s %s\n", mark, e.id, e.what)
 		}
 		fmt.Println("\n* = deterministic output, pinned in RESULTS.txt")
-		return
+		return 0
 	}
 	observing := *tracePth != "" || *metrPth != ""
 	bench.SetObservability(bench.Observability{
@@ -86,10 +121,27 @@ func main() {
 	ran, err := runExperiments(os.Stdout, *id, *detOnly, observing, *analyze)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vmmcbench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "vmmcbench: unknown experiment %q (try -list)\n", *id)
-		os.Exit(2)
+		return 2
+	}
+	return 0
+}
+
+// writeHeapProfile writes a pprof heap profile to path, reporting any
+// failure on stderr: the experiments have already run and printed.
+func writeHeapProfile(path string) {
+	f, err := os.Create(path)
+	if err == nil {
+		runtime.GC() // up-to-date statistics of what is still live
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vmmcbench: memprofile: %v\n", err)
 	}
 }

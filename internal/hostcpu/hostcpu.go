@@ -66,7 +66,15 @@ func (c *CPU) Compute(p *sim.Proc, d sim.Time) {
 // SpinWait parks p until check() reports true, re-sampling every
 // SpinCheckInterval. This models spinning on a cache location: the checks
 // cost no bus cycles (the completion word is written into the cache line
-// by DMA; §4.5), only latency granularity.
+// by DMA; §4.5), only latency granularity. check must be a pure function
+// of model state that never reads the clock (see sim.Proc.PollEvery).
 func (c *CPU) SpinWait(p *sim.Proc, check func() bool) {
 	p.PollEvery(c.prof.SpinCheckInterval, check)
+}
+
+// SpinWaitUntil is SpinWait bounded by an absolute deadline: it returns
+// at the first sample where check holds or that falls at or after
+// deadline, and reports whether check held (see sim.Proc.PollEveryUntil).
+func (c *CPU) SpinWaitUntil(p *sim.Proc, deadline sim.Time, check func() bool) bool {
+	return p.PollEveryUntil(c.prof.SpinCheckInterval, deadline, check)
 }

@@ -569,6 +569,12 @@ type Client struct {
 	// may overwrite the slot. Overwriting an unconsumed request would
 	// desynchronize the per-slot sequence protocol on both ends.
 	stale int
+
+	// replyReady is awaitReply's spin predicate, built once per
+	// connection so a wait allocates no closure; it parks the message
+	// it finds in reply.
+	replyReady func() bool
+	reply      []byte
 }
 
 // Stale reports the number of abandoned calls whose replies the next
@@ -618,7 +624,7 @@ func Dial(p *sim.Proc, proc *vmmc.Process, serverNode, slot int) (*Client, error
 	if err := proc.Export(p, replyTag, repBuf, SlotBytes, nil, false); err != nil {
 		return nil, err
 	}
-	return &Client{
+	c := &Client{
 		proc:    proc,
 		slot:    slot,
 		dest:    dest,
@@ -627,7 +633,15 @@ func Dial(p *sim.Proc, proc *vmmc.Process, serverNode, slot int) (*Client, error
 		seq:     1,
 		repSeq:  1,
 		nextXID: 1,
-	}, nil
+	}
+	c.replyReady = func() bool {
+		m, ok := slotMessage(c.proc, c.repBuf, c.repSeq)
+		if ok {
+			c.reply = m
+		}
+		return ok
+	}
+	return c, nil
 }
 
 // Call performs a synchronous RPC: encode arguments with args, wait for
@@ -745,27 +759,20 @@ func (c *Client) call(p *sim.Proc, deadline sim.Time, prog, vers, proc uint32, a
 }
 
 // awaitReply waits for the next in-sequence reply. With a deadline the
-// spin predicate also watches the clock, so a lost notification — dead
-// server, dropped reply, partition — resolves as a timeout instead of
-// blocking forever. With deadline 0 the wait is unbounded (legacy
-// behavior, byte-identical timing).
+// spin also gives up at the first sample tick at or after it, so a lost
+// notification — dead server, dropped reply, partition — resolves as a
+// timeout instead of blocking forever. With deadline 0 the wait is
+// unbounded (legacy behavior, byte-identical timing).
 func (c *Client) awaitReply(p *sim.Proc, deadline sim.Time) ([]byte, bool) {
-	eng := c.proc.Node.Eng
-	var raw []byte
-	timedOut := false
-	c.proc.SpinUntil(p, func() bool {
-		m, ok := slotMessage(c.proc, c.repBuf, c.repSeq)
-		if ok {
-			raw = m
-			return true
-		}
-		if deadline != 0 && eng.Now() >= deadline {
-			timedOut = true
-			return true
-		}
-		return false
-	})
-	return raw, !timedOut
+	if deadline == 0 {
+		deadline = sim.Never
+	}
+	if !c.proc.Node.CPU.SpinWaitUntil(p, deadline, c.replyReady) {
+		return nil, false
+	}
+	raw := c.reply
+	c.reply = nil
+	return raw, true
 }
 
 // drainStale consumes late replies to previously abandoned calls so the

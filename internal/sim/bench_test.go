@@ -25,6 +25,8 @@ func BenchmarkEventDispatch(b *testing.B) {
 
 // BenchmarkPollEverySample measures one false PollEvery sample with 64
 // processes spinning on one interval, as the 64-node all-to-all does.
+// The public Step re-evaluates every predicate, so each sample calls its
+// predicate (see BenchmarkPollSkip for the known-false path).
 func BenchmarkPollEverySample(b *testing.B) {
 	e := NewEngine()
 	const spinners, interval = 64, 100 * Nanosecond
@@ -36,9 +38,46 @@ func BenchmarkPollEverySample(b *testing.B) {
 	}
 	e.At(Time(b.N/spinners+1)*interval, func() { done = true })
 	b.ResetTimer()
-	if err := e.Run(); err != nil {
+	for e.Step() {
+	}
+}
+
+// BenchmarkPollSkip measures one PollEvery sample when almost every
+// sample is known false: 64 processes spin on one interval while a
+// ticker process wakes every 50 ticks, changing nothing the spinners
+// read but forcing every predicate to be re-checked once. One op is one
+// ticker period (3200 samples); ns/sample is the cost per dispatched
+// sample. The known-false runs between ticker wakeups are dispatched in
+// closed form, and nothing allocates.
+func BenchmarkPollSkip(b *testing.B) {
+	e := NewEngine()
+	const spinners, interval, every = 64, 100 * Nanosecond, 50
+	done := false
+	for i := 0; i < spinners; i++ {
+		e.Go("spinner", func(p *Proc) {
+			p.PollEvery(interval, func() bool { return done })
+		})
+	}
+	e.Go("ticker", func(p *Proc) {
+		for !done {
+			p.Sleep(every * interval)
+		}
+	})
+	// Warm up past the first ticker wakeup so lane, free lists and the
+	// skip's scratch buffer have reached their steady-state size.
+	if err := e.RunUntil(3 * every * interval); err != nil {
 		b.Fatal(err)
 	}
+	start := e.SchedStats().PollSamples
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.RunUntil(e.Now() + every*interval); err != nil {
+			b.Fatal(err)
+		}
+	}
+	samples := e.SchedStats().PollSamples - start
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {

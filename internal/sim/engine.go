@@ -193,7 +193,9 @@ type SchedStats struct {
 	HeapCanceled int    // canceled events awaiting compaction or pop
 	PeakHeapLen  int    // largest heap residency ever observed
 	LaneLen      int    // PollEvery samples resident in the poll lane
-	Dispatched   uint64 // events executed since construction
+	Dispatched   uint64 // events executed since construction, skipped poll samples included
+	PollSamples  uint64 // PollEvery samples dispatched (part of Dispatched)
+	PollSkipped  uint64 // samples whose predicate was known false and not called
 	Switches     uint64 // process starts and resumes: CPU handoffs to a live process
 	Compactions  uint64 // lazy compaction sweeps performed
 	FreeEvents   int    // pooled events available for reuse
@@ -207,6 +209,7 @@ type Engine struct {
 	events  eventHeap
 	lane    pollLane // PollEvery samples, merged with events by Step
 	seq     uint64
+	epoch   uint64             // bumped by every dispatch that may change model state (see knownFalse)
 	procs   map[*Proc]struct{} // live processes, for checkStall and Parked
 	stopped bool
 	trace   func(t Time, format string, args ...any)
@@ -219,6 +222,9 @@ type Engine struct {
 	dispatched     uint64
 	switches       uint64
 	compactions    uint64
+	pollSamples    uint64
+	pollSkipped    uint64
+	skipScratch    []laneSample // skipKnownFalse's rotation buffer
 	freeEvents     []*Event
 	freeWorkers    []*worker
 	freeWaiters    []*condWaiter
@@ -297,6 +303,8 @@ func (e *Engine) SchedStats() SchedStats {
 		PeakHeapLen:  e.peakHeapLen,
 		LaneLen:      e.lane.n,
 		Dispatched:   e.dispatched,
+		PollSamples:  e.pollSamples,
+		PollSkipped:  e.pollSkipped,
 		Switches:     e.switches,
 		Compactions:  e.compactions,
 		FreeEvents:   len(e.freeEvents),
@@ -553,8 +561,15 @@ func (e *Engine) advance(t Time) {
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports whether an event was executed. The earliest
 // event is whichever of the poll lane's head and the heap's top orders
-// first by (time, seq).
+// first by (time, seq). The caller may have changed model state since
+// the last dispatch, so every poll predicate is re-evaluated.
 func (e *Engine) Step() bool {
+	e.epoch++
+	return e.dispatch()
+}
+
+// dispatch executes the single earliest pending event.
+func (e *Engine) dispatch() bool {
 	if e.laneFirst() {
 		s := e.lane.pop()
 		e.advance(s.at)
@@ -566,19 +581,22 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.heapPop()
 	e.advance(ev.at)
+	if ev.poll {
+		p := ev.proc
+		e.recycle(ev)
+		e.sample(p)
+		return true
+	}
+	e.epoch++
 	switch {
 	case ev.fn != nil:
 		fn := ev.fn
 		e.recycle(ev)
 		fn()
 	case ev.proc != nil:
-		p, poll := ev.proc, ev.poll
+		p := ev.proc
 		e.recycle(ev)
-		if poll {
-			e.sample(p)
-		} else {
-			e.schedule(p)
-		}
+		e.schedule(p)
 	case ev.waiter != nil:
 		w := ev.waiter
 		e.recycle(ev)
@@ -591,12 +609,135 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// maxSkipRounds bounds the lane rotations one skipKnownFalse performs, so
+// its arithmetic cannot overflow when nothing else is pending.
+const maxSkipRounds = 1 << 20
+
+// knownFalse reports whether the lane sample s would find its predicate
+// false without calling it: the poller is alive and not killed, its
+// predicate read false at the current epoch, and s is due before the
+// poller's deadline.
+//
+// The epoch counts the dispatches that may have changed model state:
+// every heap event but a poll sample, every sample that resumes its
+// process, and every entry from outside (Run, RunUntil, Step), since the
+// caller may have written model state between them. A false sample
+// changes nothing, and a predicate is a pure function of model state
+// (see PollEvery), so a predicate that read false at the current epoch
+// still reads false.
+func (e *Engine) knownFalse(s *laneSample) bool {
+	p := s.p
+	return p.live && !p.killed && p.pollEpoch == e.epoch && s.at < p.pollDeadline
+}
+
+// skipKnownFalse dispatches, in one O(lane length) step, every sample
+// that would be dispatched next and is known false, up to the heap's top
+// and the horizon. Each such dispatch only re-posts the sample at the
+// lane's tail, so K of them rotate the lane by K: entry i of n fires at
+// a_i, a_i+interval, ... and its last re-post carries the sequence
+// number of that dispatch. The skip stops at the first entry that is not
+// known false, at the horizon, and at the heap's top; a re-posted sample
+// that ties the top in time loses to it, because its seq is newer. The
+// clock, the sequence counter and the dispatch counters advance exactly
+// as K single dispatches would advance them.
+func (e *Engine) skipKnownFalse(horizon Time) {
+	if !e.laneFirst() {
+		return
+	}
+	l := &e.lane
+	n, mask, interval := l.n, len(l.buf)-1, l.interval
+	var top *Event
+	limit := horizon // the last time a re-posted sample may fire
+	if len(e.events) > 0 {
+		top = e.events[0]
+		limit = min(limit, top.at-1)
+	}
+	// The first n dispatches are the resident entries in lane order:
+	// every re-post lands at or after the last of them, with a newer seq.
+	k := 0
+	for ; k < n; k++ {
+		s := &l.buf[(l.first+k)&mask]
+		if s.at > horizon || (top != nil && !s.before(top)) || !e.knownFalse(s) {
+			break
+		}
+	}
+	if k == 0 {
+		return
+	}
+	skip := k
+	if k == n && interval > 0 {
+		// Then whole rounds: in round r entry i fires at a_i + r*interval,
+		// and it stays known false as long as that is within its limit.
+		// The first entry to run out stops the skip.
+		rounds, stop := maxSkipRounds, 0
+		for i := 0; i < n; i++ {
+			s := &l.buf[(l.first+i)&mask]
+			span := min(limit, s.p.pollDeadline-1) - s.at
+			r := 0
+			if span >= interval {
+				r = int(min(span/interval, maxSkipRounds))
+			}
+			if r < rounds {
+				rounds, stop = r, i
+			}
+		}
+		skip = n*(1+rounds) + stop
+	}
+
+	// Dispatch d of the skip (0-based) is entry d%n in round d/n.
+	at := func(d int) Time {
+		return l.buf[(l.first+d%n)&mask].at + Time(d/n)*interval
+	}
+	e.now = at(skip - 1)
+	if e.obsDispatched != nil {
+		e.obsDispatched.Add(int64(skip))
+		e.obsHeap.Set(float64(len(e.events)))
+		if e.collector.Enabled() {
+			for d := e.dispatched + heapSampleInterval - e.dispatched%heapSampleInterval; d <= e.dispatched+uint64(skip); d += heapSampleInterval {
+				e.collector.Emit(trace.Event{T: int64(at(int(d - e.dispatched - 1))), Ph: trace.PhaseCounter,
+					Component: "sim", Category: "sched", Name: "event_heap", Value: float64(len(e.events))})
+			}
+		}
+	}
+
+	// Entry i was dispatched m_i = skip/n (+1 if i < skip%n) times. The
+	// rotated lane starts at entry skip%n.
+	full, part := skip/n, skip%n
+	rot := e.skipScratch[:0]
+	for j := 0; j < n; j++ {
+		i := (part + j) % n
+		s := l.buf[(l.first+i)&mask]
+		m := full
+		if i < part {
+			m++
+		}
+		if m > 0 {
+			s.at += Time(m) * interval
+			s.seq = e.seq + uint64((m-1)*n+i)
+		}
+		rot = append(rot, s)
+	}
+	for j, s := range rot {
+		l.buf[(l.first+j)&mask] = s
+	}
+	e.skipScratch = rot[:0]
+	e.seq += uint64(skip)
+	e.dispatched += uint64(skip)
+	e.pollSamples += uint64(skip)
+	e.pollSkipped += uint64(skip)
+}
+
 // Run executes events until none remain or Stop is called. It returns an
 // error if live processes remain parked with no pending events — a
 // deadlock in the model.
 func (e *Engine) Run() error {
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	e.epoch++
+	for !e.stopped {
+		e.skipKnownFalse(Never)
+		if !e.dispatch() {
+			break
+		}
 	}
 	return e.checkStall()
 }
@@ -608,7 +749,9 @@ func (e *Engine) Run() error {
 // model observes the time it stopped at.
 func (e *Engine) RunUntil(t Time) error {
 	e.stopped = false
+	e.epoch++
 	for !e.stopped {
+		e.skipKnownFalse(t)
 		at, ok := e.nextAt()
 		if !ok {
 			if err := e.checkStall(); err != nil {
@@ -619,7 +762,7 @@ func (e *Engine) RunUntil(t Time) error {
 		if at > t {
 			break
 		}
-		e.Step()
+		e.dispatch()
 	}
 	if !e.stopped && e.now < t {
 		e.now = t

@@ -24,11 +24,20 @@ type Proc struct {
 	daemon   bool
 	live     bool // spawned and not yet finished
 
-	// The spin the process is parked in by PollEvery: its predicate and
-	// sample interval. A process polls at most one thing at a time.
+	// The spin the process is parked in by PollEvery: its predicate,
+	// sample interval and deadline, the engine epoch at which a sample
+	// last found the predicate false, and whether the predicate held
+	// when the spin ended. A process polls at most one thing at a time.
 	pollCheck    func() bool
 	pollInterval Time
+	pollDeadline Time
+	pollEpoch    uint64
+	pollHeld     bool
 }
+
+// noEpoch is a poll epoch the engine never reaches: a fresh spin has no
+// sample that found its predicate false yet.
+const noEpoch = ^uint64(0)
 
 // worker is a reusable coroutine that runs process bodies. It is one
 // iter.Pull over loop: the engine resumes it with next, and the body hands
@@ -173,38 +182,76 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // PollEvery parks the process and re-evaluates check every interval of
 // virtual time, returning once it reports true. The virtual-time behavior
-// is identical to `for !check() { p.Sleep(interval) }` — one event per
-// sample, the process resumes at the first sample where the predicate
-// holds — but false samples run on the engine goroutine, so each costs a
-// predicate call instead of a park/resume coroutine switch. That
-// makes it the right shape for spin loops (polling a completion word at
-// cache speed), where almost every sample is false. Samples ride the
-// engine's poll lane (see pollLane), so posting and dispatching one is
-// O(1) rather than a heap operation.
+// is identical to `for !check() { p.Sleep(interval) }` — one dispatched
+// event per sample, the process resumes at the first sample where the
+// predicate holds — but false samples run on the engine goroutine, so
+// each costs a predicate call instead of a park/resume coroutine switch.
+// That makes it the right shape for spin loops (polling a completion
+// word at cache speed), where almost every sample is false. Samples ride
+// the engine's poll lane (see pollLane), so posting and dispatching one
+// is O(1) rather than a heap operation.
 //
-// check must be a pure inspection of model state: it runs outside the
-// process context and must not call Proc methods or block.
+// check must be a pure function of model state: it runs outside the
+// process context, must not call Proc methods or block, and must not
+// read the clock. The engine relies on this: a predicate that read false
+// is not called again until the engine has dispatched something that
+// may have changed model state, and runs of such known-false samples are
+// dispatched in closed form (see skipKnownFalse). A spin that must give
+// up at a point in time declares it with PollEveryUntil instead of
+// reading Now in check.
 func (p *Proc) PollEvery(interval Time, check func() bool) {
+	p.PollEveryUntil(interval, Never, check)
+}
+
+// PollEveryUntil is PollEvery with a deadline: it also returns once a
+// sample tick at or after deadline is reached, and reports whether check
+// held. A deadline already passed returns at once. Samples at or after
+// the deadline are always evaluated, so a message that lands exactly on
+// the deadline tick is still seen. The check contract is PollEvery's.
+func (p *Proc) PollEveryUntil(interval, deadline Time, check func() bool) bool {
 	if check() {
-		return
+		return true
+	}
+	if p.eng.now >= deadline {
+		return false
 	}
 	p.pollCheck = check
 	p.pollInterval = interval
+	p.pollDeadline = deadline
+	p.pollEpoch = noEpoch
 	p.eng.postSample(p)
 	p.park("poll")
+	return p.pollHeld
 }
 
-// sample is one PollEvery sample for p: resume p if its predicate holds
-// (or it was killed), otherwise post the next sample.
+// sample is one PollEvery sample for p: resume p if its predicate holds,
+// its deadline has come or it was killed; otherwise post the next
+// sample. A predicate that already read false at the current epoch is
+// not called again.
 func (e *Engine) sample(p *Proc) {
+	e.pollSamples++
 	if !p.live {
 		return // killed and unwound while a sample was pending
 	}
-	if p.killed || p.pollCheck() {
-		e.schedule(p)
-		return
+	if !p.killed {
+		if e.now < p.pollDeadline {
+			if p.pollEpoch == e.epoch {
+				e.pollSkipped++
+				e.postSample(p)
+				return
+			}
+			if !p.pollCheck() {
+				p.pollEpoch = e.epoch
+				e.postSample(p)
+				return
+			}
+			p.pollHeld = true
+		} else {
+			p.pollHeld = p.pollCheck()
+		}
 	}
-	e.postSample(p)
+	e.epoch++
+	e.schedule(p)
 }
 
 // Kill terminates the process the next time it would resume from a park.

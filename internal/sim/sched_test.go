@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestCancelChurnBoundedHeap pins the canceled-event compaction: a
@@ -412,42 +415,72 @@ func TestHeapOrderAfterCompaction(t *testing.T) {
 // scheduled up front (so they precede that tick's sample in seq order and
 // the sample sees the flag), half are posted just after the sample was
 // (so the sample misses the flag and the poller resumes a tick later).
-// One poller uses a second interval, and one is killed mid-poll.
+// On top of that:
+//   - three pollers run in lockstep (equal start, interval and waits, so
+//     their ticks tie) through two waits of thousands of ticks, long
+//     enough that the run crosses the scheduler's event_heap trace
+//     sampling several times;
+//   - one poller waits with deadlines, on and between its ticks;
+//   - one poller, each time it resumes, sets poller 0's current flag
+//     from process context;
+//   - one poller uses a second interval, and one is killed mid-poll;
+//   - the run stops at seeded RunUntil horizons, and at each one a
+//     write from outside the engine sets the flag of one of the first
+//     nine pollers, if it is waiting.
 type pollScenario struct {
-	pollers []pollerSpec
-	killAt  Time // the last poller is killed at this time, mid-poll
+	pollers  []pollerSpec
+	killAt   Time   // the last poller is killed at this time, mid-poll
+	horizons []Time // ascending RunUntil stops, each followed by an outside write
 }
 
 type pollerSpec struct {
-	start    Time
-	interval Time
-	waits    []Time // per wait: offset of the flag's tick past the start of the wait
-	late     []bool // per wait: post the setter after the tick's sample
+	start     Time
+	interval  Time
+	waits     []Time // per wait: offset of the flag's tick past the start of the wait
+	late      []bool // per wait: post the setter after the tick's sample
+	deadlines []Time // per wait: give up this long after the start of the wait; nil: never
+	relay     bool   // on each resume, set poller 0's current flag
 }
+
+const (
+	lockstepFirst = 9 // pollers 9-11 run in lockstep
+	deadlineIdx   = 12
+	relayIdx      = 13
+	otherIdx      = 14 // the poller with the second interval
+	pollersN      = 16 // the last one is the kill victim
+)
 
 func newPollScenario(seed int64) pollScenario {
 	r := rand.New(rand.NewSource(seed))
 	var sc pollScenario
-	const n = 12
-	for i := 0; i < n; i++ {
+	lockstepStart := Time(r.Intn(3000))
+	lockstepWaits := []Time{Time(2000+r.Intn(1000)) * Microsecond, Time(2000+r.Intn(1000)) * Microsecond}
+	for i := 0; i < pollersN; i++ {
 		ps := pollerSpec{start: Time(r.Intn(3000)), interval: Microsecond}
-		if i == 0 {
+		waits := 2 + r.Intn(3)
+		switch {
+		case i == 0:
 			// Poller 0 starts first and waits longest, so the lane is
 			// never empty while the others spin.
-			ps.start = 0
-		}
-		if i == n-2 {
+			ps.start, waits = 0, 8
+		case i >= lockstepFirst && i < lockstepFirst+3:
+			ps.start, waits = lockstepStart, 0
+			ps.waits, ps.late = lockstepWaits, []bool{i%2 == 0, i%2 == 1}
+		case i == relayIdx:
+			ps.relay = true
+		case i == otherIdx:
 			ps.interval = 700 * Nanosecond // the lane's interval differs
-		}
-		waits := 2 + r.Intn(3)
-		if i == 0 {
-			waits = 8
 		}
 		for w := 0; w < waits; w++ {
 			ps.waits = append(ps.waits, Time(1+r.Intn(6))*ps.interval)
 			ps.late = append(ps.late, r.Intn(2) == 1)
+			if i == deadlineIdx {
+				// On a tick, between ticks, or already passed.
+				d := Time(r.Intn(7))*ps.interval - Time(r.Intn(2)*r.Intn(int(ps.interval)))
+				ps.deadlines = append(ps.deadlines, max(d, 0))
+			}
 		}
-		if i == n-1 {
+		if i == pollersN-1 {
 			// The victim is still in its first wait when the kill
 			// lands, on or between its sample ticks.
 			ps.start = 0
@@ -456,76 +489,175 @@ func newPollScenario(seed int64) pollScenario {
 		sc.pollers = append(sc.pollers, ps)
 	}
 	sc.killAt = Time(1000 + 500*r.Intn(5))
+	for h := 0; h < 8; h++ {
+		sc.horizons = append(sc.horizons, Time(r.Intn(int(30*Microsecond))))
+	}
+	for h := 0; h < 8; h++ {
+		sc.horizons = append(sc.horizons, Time(r.Intn(int(2*Millisecond))))
+	}
+	slices.Sort(sc.horizons)
 	return sc
 }
 
-type spinFunc func(p *Proc, interval Time, check func() bool)
+// spinFunc waits until check holds or, at a sample at or after deadline,
+// gives up; it reports whether check held.
+type spinFunc func(p *Proc, interval, deadline Time, check func() bool) bool
 
-// run plays the scenario with spin as the wait primitive and returns the
-// log of resumes and flag sets, plus the dispatched-event count.
-func (sc pollScenario) run(t *testing.T, spin spinFunc) ([]string, uint64) {
+// pollRun is what one play of a scenario observed.
+type pollRun struct {
+	log       []string
+	stats     SchedStats
+	heapTrack []trace.Event // the scheduler's event_heap counter samples
+}
+
+// run plays the scenario with spin as the wait primitive. With stepped
+// it drives the engine through the public Step, which re-evaluates every
+// predicate; otherwise through RunUntil and Run.
+func (sc pollScenario) run(t *testing.T, spin spinFunc, stepped bool) pollRun {
 	e := NewEngine()
+	e.ObserveScheduler()
+	e.Trace().Enable(1 << 12)
 	var log []string
-	logf := func(format string, args ...any) {
-		log = append(log, fmt.Sprintf("%v ", e.Now())+fmt.Sprintf(format, args...))
+	logf := func(at Time, format string, args ...any) {
+		log = append(log, fmt.Sprintf("%v ", at)+fmt.Sprintf(format, args...))
+	}
+	flags := make([][]bool, len(sc.pollers))
+	cur := make([]int, len(sc.pollers)) // the wait in progress, -1 if none
+	set := func(i int, why string) {
+		if w := cur[i]; w >= 0 {
+			flags[i][w] = true
+			logf(e.Now(), "%s set %d.%d", why, i, w)
+		}
 	}
 	var victim *Proc
 	for i, ps := range sc.pollers {
-		i, ps := i, ps
-		flags := make([]bool, len(ps.waits))
-		pr := e.Go(fmt.Sprintf("poller%d", i), func(p *Proc) {
-			defer func() { logf("poller %d unwound", i) }()
+		flags[i] = make([]bool, len(ps.waits))
+		cur[i] = -1
+		victim = e.Go(fmt.Sprintf("poller%d", i), func(p *Proc) {
+			defer func() { logf(e.Now(), "poller %d unwound", i) }()
 			p.Sleep(ps.start)
 			for w := range ps.waits {
 				// Sample ticks of this wait are now+k*interval.
 				tick := p.Now() + ps.waits[w]
-				w := w
-				set := func() { flags[w] = true; logf("set %d.%d", i, w) }
+				setter := func() { flags[i][w] = true; logf(e.Now(), "set %d.%d", i, w) }
 				if ps.late[w] {
 					// Posted one nanosecond after the tick's sample was
 					// (the sample is posted at tick-interval), so the
 					// setter orders after it.
-					e.At(tick-ps.interval+1, func() { e.At(tick, set) })
+					e.At(tick-ps.interval+1, func() { e.At(tick, setter) })
 				} else {
-					e.At(tick, set)
+					e.At(tick, setter)
 				}
-				spin(p, ps.interval, func() bool { return flags[w] })
-				logf("poller %d resumed from wait %d", i, w)
+				deadline := Never
+				if ps.deadlines != nil {
+					deadline = p.Now() + ps.deadlines[w]
+				}
+				cur[i] = w
+				held := spin(p, ps.interval, deadline, func() bool { return flags[i][w] })
+				cur[i] = -1
+				logf(e.Now(), "poller %d resumed from wait %d, held %v", i, w, held)
+				if ps.relay {
+					set(0, "relay")
+				}
 			}
 		})
-		victim = pr
 	}
-	e.At(sc.killAt, func() { logf("kill"); victim.Kill() })
-	if err := e.Run(); err != nil {
+	e.At(sc.killAt, func() { logf(e.Now(), "kill"); victim.Kill() })
+	for k, h := range sc.horizons {
+		if stepped {
+			for at, ok := e.nextAt(); ok && at <= h; at, ok = e.nextAt() {
+				e.Step()
+			}
+			e.now = max(e.now, h)
+		} else if err := e.RunUntil(h); err != nil {
+			t.Fatal(err)
+		}
+		logf(e.Now(), "horizon %d", k)
+		set(k%lockstepFirst, "outside")
+	}
+	if stepped {
+		for e.Step() {
+		}
+	} else if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return log, e.SchedStats().Dispatched
+	run := pollRun{log: log, stats: e.SchedStats()}
+	for _, ev := range e.Trace().Events() {
+		if ev.Name == "event_heap" {
+			run.heapTrack = append(run.heapTrack, ev)
+		}
+	}
+	return run
 }
 
 // PollEvery must be observationally identical to a Sleep-loop spin in
 // virtual time: same resume ticks, same interleaving with same-tick
-// callbacks, same dispatched-event count. The scenarios mix lane samples,
-// a heap-fallback poller and a kill.
+// callbacks, same dispatched-event count, and the scheduler's event_heap
+// counter sampled at the same instants. Known-false samples the engine
+// skips must not show either: the RunUntil/Run-driven run must match a
+// run driven by the public Step, which calls every predicate, down to
+// the values of the event_heap track (the sleep loop's track differs in
+// value only, because its samples are heap events).
 func TestPollEveryMatchesSleepLoop(t *testing.T) {
-	sleepLoop := func(p *Proc, interval Time, check func() bool) {
+	sleepLoop := func(p *Proc, interval, deadline Time, check func() bool) bool {
 		for !check() {
+			if p.Now() >= deadline {
+				return false
+			}
 			p.Sleep(interval)
 		}
+		return true
 	}
-	pollEvery := func(p *Proc, interval Time, check func() bool) {
-		p.PollEvery(interval, check)
+	pollEvery := func(p *Proc, interval, deadline Time, check func() bool) bool {
+		if deadline == Never {
+			p.PollEvery(interval, check)
+			return true
+		}
+		return p.PollEveryUntil(interval, deadline, check)
 	}
+	var skipped uint64
 	for seed := int64(1); seed <= 20; seed++ {
 		sc := newPollScenario(seed)
-		wantLog, wantEvents := sc.run(t, sleepLoop)
-		gotLog, gotEvents := sc.run(t, pollEvery)
-		if strings.Join(gotLog, "\n") != strings.Join(wantLog, "\n") {
-			t.Fatalf("seed %d: PollEvery log differs from sleep loop\npoll:\n%s\nsleep:\n%s",
-				seed, strings.Join(gotLog, "\n"), strings.Join(wantLog, "\n"))
+		want := sc.run(t, sleepLoop, false)
+		stepped := sc.run(t, pollEvery, true)
+		got := sc.run(t, pollEvery, false)
+		for _, c := range []struct {
+			name string
+			run  pollRun
+		}{{"Step-driven PollEvery", stepped}, {"PollEvery", got}} {
+			if strings.Join(c.run.log, "\n") != strings.Join(want.log, "\n") {
+				t.Fatalf("seed %d: %s log differs from sleep loop\npoll:\n%s\nsleep:\n%s",
+					seed, c.name, strings.Join(c.run.log, "\n"), strings.Join(want.log, "\n"))
+			}
+			if c.run.stats.Dispatched != want.stats.Dispatched {
+				t.Errorf("seed %d: %s dispatched %d events, sleep loop %d",
+					seed, c.name, c.run.stats.Dispatched, want.stats.Dispatched)
+			}
+			if len(c.run.heapTrack) != len(want.heapTrack) {
+				t.Fatalf("seed %d: %s has %d event_heap samples, sleep loop %d",
+					seed, c.name, len(c.run.heapTrack), len(want.heapTrack))
+			}
+			for k, ev := range c.run.heapTrack {
+				if ev.T != want.heapTrack[k].T {
+					t.Errorf("seed %d: %s event_heap sample %d at %d, sleep loop at %d",
+						seed, c.name, k, ev.T, want.heapTrack[k].T)
+				}
+			}
 		}
-		if gotEvents != wantEvents {
-			t.Errorf("seed %d: PollEvery dispatched %d events, sleep loop %d", seed, gotEvents, wantEvents)
+		if len(want.heapTrack) < 2 {
+			t.Fatalf("seed %d: only %d event_heap samples; the scenario is too short", seed, len(want.heapTrack))
 		}
+		if !slices.Equal(got.heapTrack, stepped.heapTrack) {
+			t.Errorf("seed %d: event_heap track %v, Step-driven %v", seed, got.heapTrack, stepped.heapTrack)
+		}
+		if got.stats.PollSamples != stepped.stats.PollSamples || stepped.stats.PollSkipped != 0 {
+			t.Errorf("seed %d: %d samples (Step-driven %d, %d skipped there)", seed,
+				got.stats.PollSamples, stepped.stats.PollSamples, stepped.stats.PollSkipped)
+		}
+		skipped += got.stats.PollSkipped
+	}
+	if skipped == 0 {
+		t.Error("no sample was skipped: the scenarios do not exercise known-false skipping")
 	}
 }
 
@@ -627,5 +759,89 @@ func TestPollEveryKilledPoller(t *testing.T) {
 	}
 	if e.Now() > 10*Microsecond {
 		t.Errorf("engine ran to %v after the kill: the poll chain kept re-arming", e.Now())
+	}
+}
+
+// A write from outside the engine between two runs must be seen by the
+// next sample whichever entry point resumes the engine: each entry
+// re-evaluates every predicate.
+func TestPollSeesOutsideWriteOnEveryEntry(t *testing.T) {
+	for _, entry := range []string{"Run", "RunUntil", "Step"} {
+		e := NewEngine()
+		flag := false
+		var resumed Time
+		e.Go("spinner", func(p *Proc) {
+			p.PollEvery(Microsecond, func() bool { return flag })
+			resumed = p.Now()
+		})
+		if err := e.RunUntil(2500 * Nanosecond); err != nil {
+			t.Fatal(err)
+		}
+		flag = true
+		switch entry {
+		case "Run":
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		case "RunUntil":
+			if err := e.RunUntil(10 * Microsecond); err != nil {
+				t.Fatal(err)
+			}
+		case "Step":
+			e.Step()
+		}
+		if resumed != 3*Microsecond {
+			t.Errorf("%s: spinner resumed at %v, want 3us", entry, resumed)
+		}
+	}
+}
+
+// A deadline sample must be evaluated even when the skip that reaches it
+// starts right at it: here a freshly started poller's first sample stops
+// one skip just before the deadline poller's deadline tick, and nothing
+// changes model state in between.
+func TestPollEveryUntilDeadlineAfterStaleSample(t *testing.T) {
+	e := NewEngine()
+	var gaveUp Time
+	held := true
+	e.Go("deadline", func(p *Proc) {
+		held = p.PollEveryUntil(Microsecond, 5*Microsecond, func() bool { return false })
+		gaveUp = p.Now()
+	})
+	e.Go("late", func(p *Proc) {
+		p.Sleep(3900 * Nanosecond)
+		p.PollEvery(Microsecond, func() bool { return gaveUp > 0 })
+	})
+	if err := e.RunUntil(20 * Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	if held || gaveUp != 5*Microsecond {
+		t.Errorf("deadline poll returned %v at %v, want false at 5us", held, gaveUp)
+	}
+}
+
+// TestPollCounters pins SchedStats' poll counters on a small scenario: a
+// lane poller (1 us) and a heap poller (700 ns) wait on one flag that a
+// callback sets at 5.5 us. Each poller's first sample calls its
+// predicate; every later sample before the setter is known false.
+func TestPollCounters(t *testing.T) {
+	e := NewEngine()
+	flag := false
+	e.Go("lane", func(p *Proc) { p.PollEvery(Microsecond, func() bool { return flag }) })
+	e.Go("heap", func(p *Proc) { p.PollEvery(700*Nanosecond, func() bool { return flag }) })
+	e.At(5500*Nanosecond, func() { flag = true })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Lane samples at 1..6 us: 1 us calls, 2-5 us skip, 6 us calls and
+	// resumes. Heap samples at 0.7..5.6 us: 0.7 us calls, 1.4-4.9 us
+	// skip, 5.6 us calls and resumes.
+	st := e.SchedStats()
+	if st.PollSamples != 6+8 || st.PollSkipped != 4+6 {
+		t.Errorf("poll samples %d, skipped %d; want 14, 10", st.PollSamples, st.PollSkipped)
+	}
+	// Two process starts, the setter and every sample.
+	if st.Dispatched != 2+1+14 {
+		t.Errorf("dispatched %d, want 17", st.Dispatched)
 	}
 }

@@ -8,7 +8,10 @@
 // run of the same model is bit-for-bit reproducible.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in virtual time, measured in nanoseconds since the start
 // of the simulation. Durations are also expressed as Time.
@@ -21,6 +24,9 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 )
+
+// Never is the latest representable time: a deadline that never passes.
+const Never Time = math.MaxInt64
 
 // Micros converts a duration in microseconds (possibly fractional, e.g. the
 // paper's 0.422 us MMIO read) to a Time.
